@@ -1,4 +1,4 @@
-.PHONY: all build test check bench-smoke bench-macro bench-macro-baseline bench clean
+.PHONY: all build test check bench-smoke bench-macro bench-macro-baseline bench perfbench clean
 
 all: build
 
@@ -52,6 +52,18 @@ bench-macro-baseline:
 
 bench:
 	dune exec bench/main.exe
+
+# Benchmark correctness: one run of each perfbench workload (seed 1),
+# failing unless the benchmark's own validator reports "correct": true
+# and 0 failed operations.  Timings are not gated.  PERFBENCH_SECONDS
+# sets the measured phase (BENCHMARK.json runs 20; CI uses a short one).
+PERFBENCH_SECONDS ?= 20
+perfbench:
+	for w in replay oltp recover; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 \
+	    --seconds $(PERFBENCH_SECONDS) --trace 0 \
+	    | python3 scripts/check_perfbench.py $$w || exit 1; \
+	done
 
 clean:
 	dune clean

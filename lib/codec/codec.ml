@@ -375,7 +375,10 @@ module Blocks = struct
   (* Framing: crc32 | server | txn_seq | frag_idx | last flag | payload. *)
   let overhead = 4 + 10 + 10 + 10 + 1 + 10
 
-  let split ?pool ~block_size ~server ~txn_seq s =
+  (* Each block is built in one exact-size buffer: the header varints and
+     the payload slice are written once, the checksum is computed over
+     the body in place, and the u32 lands in front. *)
+  let split ~block_size ~server ~txn_seq s =
     if block_size <= overhead then invalid_arg "Codec.Blocks.split: tiny block";
     let chunk = block_size - overhead in
     let total = String.length s in
@@ -383,24 +386,19 @@ module Blocks = struct
     List.init nfrags (fun i ->
         let off = i * chunk in
         let len = min chunk (total - off) in
-        let body = Wire.Writer.create ?pool ~capacity:(len + 32) () in
-        Wire.Writer.varint body server;
-        Wire.Writer.varint body txn_seq;
-        Wire.Writer.varint body i;
-        Wire.Writer.u8 body (if i = nfrags - 1 then 1 else 0);
-        Wire.Writer.substring body s ~pos:off ~len;
-        let payload = Wire.Writer.contents body in
-        Wire.Writer.free body;
-        let framed =
-          Wire.Writer.create ?pool ~capacity:(String.length payload + 4) ()
+        let size =
+          4 + Wire.varint_size server + Wire.varint_size txn_seq
+          + Wire.varint_size i + 1 + Wire.varint_size len + len
         in
-        Wire.Writer.u32 framed (Crc32.digest_string payload);
-        Wire.Writer.raw framed
-          (Bytes.unsafe_of_string payload)
-          ~pos:0 ~len:(String.length payload);
-        let block = Wire.Writer.contents framed in
-        Wire.Writer.free framed;
-        block)
+        let b = Bytes.create size in
+        let at = Wire.put_varint b 4 server in
+        let at = Wire.put_varint b at txn_seq in
+        let at = Wire.put_varint b at i in
+        Bytes.unsafe_set b at (if i = nfrags - 1 then '\001' else '\000');
+        let at = Wire.put_varint b (at + 1) len in
+        Bytes.blit_string s off b at len;
+        Bytes.set_int32_le b 0 (Crc32.digest b ~pos:4 ~len:(size - 4));
+        Bytes.unsafe_to_string b)
 
   let blocks_needed ~block_size size =
     let chunk = block_size - overhead in
@@ -412,6 +410,10 @@ module Blocks = struct
 
     let create () = { partials = Hashtbl.create 64 }
 
+    (* A single-fragment intention (the common case) is one [String.sub]
+       of its block.  While a partial of the same (server, txn_seq) is
+       open it takes the general path instead, which rejects it as out of
+       order. *)
     let feed t ~pos block =
       let r = Wire.Reader.of_string block in
       try
@@ -427,26 +429,35 @@ module Blocks = struct
         let txn_seq = Wire.Reader.varint r in
         let frag_idx = Wire.Reader.varint r in
         let last = Wire.Reader.u8 r = 1 in
-        let payload = Wire.Reader.bytes r in
-        let key = (server, txn_seq) in
-        let partial =
-          match Hashtbl.find_opt t.partials key with
-          | Some p -> p
-          | None ->
-              let p = { buf = Buffer.create 1024; next_frag = 0 } in
-              Hashtbl.add t.partials key p;
-              p
-        in
-        if frag_idx <> partial.next_frag then
-          corrupt "block %d: fragment %d arrived out of order (expected %d)"
-            pos frag_idx partial.next_frag;
-        Buffer.add_string partial.buf payload;
-        partial.next_frag <- partial.next_frag + 1;
-        if last then begin
-          Hashtbl.remove t.partials key;
-          Some (pos, Buffer.contents partial.buf)
+        let len = Wire.Reader.varint r in
+        let off = Wire.Reader.pos r in
+        if len < 0 || len > String.length block - off then raise Wire.Truncated;
+        if
+          frag_idx = 0 && last
+          && (Hashtbl.length t.partials = 0
+             || not (Hashtbl.mem t.partials (server, txn_seq)))
+        then Some (pos, String.sub block off len)
+        else begin
+          let key = (server, txn_seq) in
+          let partial =
+            match Hashtbl.find_opt t.partials key with
+            | Some p -> p
+            | None ->
+                let p = { buf = Buffer.create 1024; next_frag = 0 } in
+                Hashtbl.add t.partials key p;
+                p
+          in
+          if frag_idx <> partial.next_frag then
+            corrupt "block %d: fragment %d arrived out of order (expected %d)"
+              pos frag_idx partial.next_frag;
+          Buffer.add_substring partial.buf block off len;
+          partial.next_frag <- partial.next_frag + 1;
+          if last then begin
+            Hashtbl.remove t.partials key;
+            Some (pos, Buffer.contents partial.buf)
+          end
+          else None
         end
-        else None
       with Wire.Truncated -> corrupt "block %d truncated" pos
 
     let pending t = Hashtbl.length t.partials

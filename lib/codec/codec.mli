@@ -114,15 +114,14 @@ module Blocks : sig
   (** Per-block framing bytes (upper bound). *)
 
   val split :
-    ?pool:Hyder_util.Buf_pool.t ->
     block_size:int ->
     server:int ->
     txn_seq:int ->
     string ->
     string list
   (** Fragment an encoded intention into checksummed blocks of at most
-      [block_size] bytes.  [pool] supplies (and takes back) the staging
-      buffers, eliminating two buffer allocations per fragment. *)
+      [block_size] bytes.  Each block is one allocation: framing and
+      payload are written once and checksummed in place. *)
 
   val blocks_needed : block_size:int -> int -> int
   (** How many blocks a payload of the given size occupies. *)

@@ -41,7 +41,9 @@ val parse :
     of the snapshot tree the intention executed against ([Node.empty]
     when unavailable); references are first looked up there by key and
     only fall back to [resolve] when the snapshot cannot answer.
-    Raises {!Corrupt} exactly when the eager decoder would. *)
+    Raises {!Corrupt} exactly when the eager decoder would.  Each wire
+    byte is decoded once, through a per-domain scratch the view never
+    retains, so parses on different domains may run concurrently. *)
 
 (** {1 Header} *)
 

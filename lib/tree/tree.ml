@@ -284,26 +284,52 @@ let of_sorted_array items =
     if Key.compare (fst items.(i - 1)) (fst items.(i)) >= 0 then
       invalid_arg "Tree.of_sorted_array: keys must be strictly increasing"
   done;
-  (* Recursive canonical construction: the root of a segment is its
-     maximum-priority key.  In-order index is the genesis VN index. *)
-  let rec build lo hi =
-    if lo >= hi then empty
+  (* Canonical construction: the root of a segment is its
+     maximum-priority key.  Each priority is hashed once, the treap's
+     shape comes from the O(n) stack (Cartesian-tree) method, and nodes
+     are then allocated bottom-up in post order.  In-order index is the
+     genesis VN index. *)
+  let prio =
+    (* top 63 bits of the unsigned 64-bit priority, sign-flipped so that
+       signed int order is unsigned order; equal tops (which the stack
+       pass then breaks with [Key.priority_greater]) are astronomically
+       rare *)
+    Array.map
+      (fun (k, _) ->
+        Int64.to_int (Int64.shift_right_logical (Key.priority k) 1) lxor min_int)
+      items
+  in
+  let greater i j =
+    let pi = prio.(i) and pj = prio.(j) in
+    if pi <> pj then pi > pj
+    else Key.priority_greater (fst items.(i)) (fst items.(j))
+  in
+  let lchild = Array.make n (-1) and rchild = Array.make n (-1) in
+  let stack = Array.make n 0 and top = ref 0 in
+  for i = 0 to n - 1 do
+    let last = ref (-1) in
+    while !top > 0 && greater i stack.(!top - 1) do
+      decr top;
+      last := stack.(!top)
+    done;
+    lchild.(i) <- !last;
+    if !top > 0 then rchild.(stack.(!top - 1)) <- i;
+    stack.(!top) <- i;
+    incr top
+  done;
+  let rec build i =
+    if i < 0 then empty
     else begin
-      let best = ref lo in
-      for i = lo + 1 to hi - 1 do
-        if Key.priority_greater (fst items.(i)) (fst items.(!best)) then
-          best := i
-      done;
-      let key, payload = items.(!best) in
-      let left = build lo !best in
-      let right = build (!best + 1) hi in
-      let vn = Vn.genesis ~idx:!best in
+      let key, payload = items.(i) in
+      let left = build lchild.(i) in
+      let right = build rchild.(i) in
+      let vn = Vn.genesis ~idx:i in
       Node.make ~key ~payload ~left ~right ~vn ~cv:vn ~ssv:None ~scv:None
         ~altered:false ~depends_on_content:false ~depends_on_structure:false
         ~owner:state_owner
     end
   in
-  build 0 n
+  if n = 0 then empty else build stack.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Validation and statistics                                           *)

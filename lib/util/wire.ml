@@ -1,5 +1,25 @@
 exception Truncated
 
+let varint_size v =
+  if v < 0 then invalid_arg "Wire.varint_size: negative";
+  let n = ref 1 and v = ref (v lsr 7) in
+  while !v <> 0 do
+    incr n;
+    v := !v lsr 7
+  done;
+  !n
+
+let put_varint b at v =
+  if v < 0 then invalid_arg "Wire.put_varint: negative";
+  let at = ref at and v = ref v in
+  while !v >= 0x80 do
+    Bytes.set b !at (Char.unsafe_chr (!v land 0x7F lor 0x80));
+    incr at;
+    v := !v lsr 7
+  done;
+  Bytes.set b !at (Char.unsafe_chr !v);
+  !at + 1
+
 module Writer = struct
   type t = { mutable buf : Bytes.t; mutable len : int; pool : Buf_pool.t option }
 

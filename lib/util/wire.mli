@@ -9,6 +9,13 @@
 exception Truncated
 (** Raised by readers on premature end of input. *)
 
+val varint_size : int -> int
+(** Bytes {!Writer.varint} emits for a non-negative value. *)
+
+val put_varint : Bytes.t -> int -> int -> int
+(** [put_varint b at v] writes {!Writer.varint}'s bytes for [v] at
+    [b.[at]] and returns the offset just past them. *)
+
 module Writer : sig
   type t
 

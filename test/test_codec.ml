@@ -258,6 +258,96 @@ let test_blocks_checksum_detects_flip () =
     Alcotest.fail "expected Corrupt"
   with Codec.Corrupt _ -> ()
 
+(* The two-writer framing [Blocks.split] used before it wrote each block
+   into one buffer — kept as the byte-level oracle. *)
+let split_oracle ~block_size ~server ~txn_seq s =
+  let module W = Hyder_util.Wire.Writer in
+  let chunk = block_size - Codec.Blocks.overhead in
+  let total = String.length s in
+  let nfrags = max 1 ((total + chunk - 1) / chunk) in
+  List.init nfrags (fun i ->
+      let off = i * chunk in
+      let len = min chunk (total - off) in
+      let body = W.create () in
+      W.varint body server;
+      W.varint body txn_seq;
+      W.varint body i;
+      W.u8 body (if i = nfrags - 1 then 1 else 0);
+      W.substring body s ~pos:off ~len;
+      let payload = W.contents body in
+      let framed = W.create () in
+      W.u32 framed (Hyder_util.Crc32.digest_string payload);
+      W.raw framed (Bytes.unsafe_of_string payload) ~pos:0
+        ~len:(String.length payload);
+      W.contents framed)
+
+let test_blocks_match_oracle () =
+  let block_size = 300 in
+  let chunk = block_size - Codec.Blocks.overhead in
+  List.iter
+    (fun size ->
+      let s = String.init size (fun i -> Char.chr ((i * 31) land 0xFF)) in
+      List.iter
+        (fun (server, txn_seq) ->
+          let got = Codec.Blocks.split ~block_size ~server ~txn_seq s in
+          let want = split_oracle ~block_size ~server ~txn_seq s in
+          check
+            (Printf.sprintf "size %d server %d txn %d: same blocks" size server
+               txn_seq)
+            true (got = want);
+          List.iter
+            (fun b -> check "fits the block" true (String.length b <= block_size))
+            got)
+        [ (0, 0); (1, 127); (200, 128); (70_000, 1 lsl 40) ])
+    [ 0; 1; chunk - 1; chunk; chunk + 1; (2 * chunk) - 1; 2 * chunk;
+      (2 * chunk) + 1; (5 * chunk) + 7 ]
+
+let expect_corrupt what msg f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Corrupt" what
+  | exception Codec.Corrupt m -> Alcotest.(check string) what msg m
+
+(* Reassembly errors keep their messages: a fragment arriving out of
+   order, a fresh fragment 0 (single- or multi-block) while a partial of
+   the same (server, txn_seq) is open, and a bad checksum. *)
+let test_blocks_reassembly_errors () =
+  let module R = Codec.Blocks.Reassembler in
+  let multi = Codec.Blocks.split ~block_size:100 ~server:4 ~txn_seq:2
+      (String.make 300 'm') in
+  let single = Codec.Blocks.split ~block_size:100 ~server:4 ~txn_seq:2 "s" in
+  let nth l i = List.nth l i in
+  let r = R.create () in
+  expect_corrupt "skipped fragment"
+    "block 7: fragment 1 arrived out of order (expected 0)" (fun () ->
+      R.feed r ~pos:7 (nth multi 1));
+  let r = R.create () in
+  check "fragment 0 opens a partial" true (R.feed r ~pos:1 (nth multi 0) = None);
+  expect_corrupt "single-block fragment 0 while open"
+    "block 2: fragment 0 arrived out of order (expected 1)" (fun () ->
+      R.feed r ~pos:2 (List.hd single));
+  expect_corrupt "multi-block fragment 0 while open"
+    "block 3: fragment 0 arrived out of order (expected 1)" (fun () ->
+      R.feed r ~pos:3 (nth multi 0));
+  check_int "partial still open" 1 (R.pending r);
+  List.iteri
+    (fun i b ->
+      if i > 0 then
+        let got = R.feed r ~pos:(10 + i) b in
+        if i = List.length multi - 1 then
+          check "completes" true
+            (got = Some (10 + i, String.make 300 'm'))
+        else check "not yet" true (got = None))
+    multi;
+  check_int "drained" 0 (R.pending r);
+  check "single block afterwards" true
+    (R.feed r ~pos:20 (List.hd single) = Some (20, "s"));
+  let b = Bytes.of_string (List.hd single) in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+  expect_corrupt "checksum" "block 21 checksum mismatch" (fun () ->
+      R.feed r ~pos:21 (Bytes.to_string b));
+  expect_corrupt "truncated" "block 22 truncated" (fun () ->
+      R.feed r ~pos:22 "abc")
+
 let test_read_only_regions_become_refs () =
   (* A write touches one path; the rest of the tree must serialize as
      references, keeping intentions small. *)
@@ -328,6 +418,10 @@ let () =
           Alcotest.test_case "interleaved servers" `Quick
             test_blocks_interleaved_servers;
           Alcotest.test_case "checksum" `Quick test_blocks_checksum_detects_flip;
+          Alcotest.test_case "byte-identical to two-writer framing" `Quick
+            test_blocks_match_oracle;
+          Alcotest.test_case "reassembly errors" `Quick
+            test_blocks_reassembly_errors;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ] );

@@ -268,9 +268,60 @@ let prop_range_matches_model =
       let got = List.map fst (Tree.range_items tree ~lo ~hi) in
       expected = got)
 
+(* The per-segment max-scan [Tree.of_sorted_array] used before its stack
+   construction — kept as the oracle for shape, versions and payloads. *)
+let of_sorted_oracle items =
+  let rec build lo hi =
+    if lo >= hi then Node.empty
+    else begin
+      let best = ref lo in
+      for i = lo + 1 to hi - 1 do
+        if Key.priority_greater (fst items.(i)) (fst items.(!best)) then
+          best := i
+      done;
+      let key, payload = items.(!best) in
+      let left = build lo !best in
+      let right = build (!best + 1) hi in
+      let vn = Vn.genesis ~idx:!best in
+      Node.make ~key ~payload ~left ~right ~vn ~cv:vn ~ssv:None ~scv:None
+        ~altered:false ~depends_on_content:false ~depends_on_structure:false
+        ~owner:Node.state_owner
+    end
+  in
+  build 0 (Array.length items)
+
+let rec same_payload_objects (a : Node.tree) (b : Node.tree) =
+  Node.is_empty a && Node.is_empty b
+  || (not (Node.is_empty a))
+     && (not (Node.is_empty b))
+     && a.Node.payload == b.Node.payload
+     && same_payload_objects a.Node.left b.Node.left
+     && same_payload_objects a.Node.right b.Node.right
+
+let prop_of_sorted_matches_oracle =
+  QCheck2.Test.make ~name:"of_sorted_array = max-scan oracle" ~count:300
+    QCheck2.Gen.(
+      oneof
+        [
+          list_size (int_range 0 2) int;
+          list_size (int_range 0 400) (int_range (-1000) 1000);
+          list_size (int_range 0 400) int;
+        ])
+    (fun keys ->
+      let keys = List.sort_uniq compare keys in
+      let items = Array.of_list (List.map (fun k -> (k, Helpers.payload k)) keys) in
+      let got = Tree.of_sorted_array items in
+      let want = of_sorted_oracle items in
+      Tree.physically_equal got want && same_payload_objects got want)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_model_agreement; prop_shape_canonical; prop_range_matches_model ]
+    [
+      prop_model_agreement;
+      prop_shape_canonical;
+      prop_range_matches_model;
+      prop_of_sorted_matches_oracle;
+    ]
 
 let () =
   Alcotest.run "tree"

@@ -233,6 +233,47 @@ let test_crc32_detects_corruption () =
   let b = Crc32.digest_string "hello worle" in
   check "differs" false (Int32.equal a b)
 
+(* Bit-at-a-time CRC-32 straight from the reflected polynomial: the
+   reference the table-driven kernel must match. *)
+let crc32_bitwise b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+(* Arbitrary (pos, len) windows, so the eight-byte main loop meets every
+   alignment and every tail length 0..7. *)
+let prop_crc32_matches_bitwise =
+  QCheck2.Test.make ~name:"crc32 = bitwise reference" ~count:500
+    QCheck2.Gen.(triple (string_size (int_range 0 200)) nat nat)
+    (fun (s, p, l) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let pos = if n = 0 then 0 else p mod (n + 1) in
+      let len = l mod (n - pos + 1) in
+      Int32.equal (Crc32.digest b ~pos ~len) (crc32_bitwise b ~pos ~len))
+
+(* [put_varint]/[varint_size] emit exactly [Writer.varint]'s bytes. *)
+let prop_put_varint_matches_writer =
+  QCheck2.Test.make ~name:"put_varint = Writer.varint" ~count:1000
+    QCheck2.Gen.(map (fun v -> v land max_int) int)
+    (fun v ->
+      let w = Wire.Writer.create () in
+      Wire.Writer.varint w v;
+      let expect = Wire.Writer.contents w in
+      let b = Bytes.make (Wire.varint_size v + 2) '*' in
+      let stop = Wire.put_varint b 1 v in
+      String.length expect = Wire.varint_size v
+      && stop = 1 + Wire.varint_size v
+      && Bytes.sub_string b 1 (stop - 1) = expect
+      && Bytes.get b 0 = '*'
+      && Bytes.get b stop = '*')
+
 (* ---- Spsc_queue ------------------------------------------------------ *)
 
 module Spsc = Hyder_util.Spsc_queue
@@ -626,7 +667,12 @@ let test_buf_pool_lifetime_canaries () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_wire_varint_roundtrip; prop_spsc_batch_interleaving ]
+    [
+      prop_wire_varint_roundtrip;
+      prop_put_varint_matches_writer;
+      prop_crc32_matches_bitwise;
+      prop_spsc_batch_interleaving;
+    ]
 
 let () =
   Alcotest.run "util"

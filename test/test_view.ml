@@ -59,66 +59,75 @@ let vn_opt_equal a b =
   | _ -> false
 
 (* Every accessor agrees with the corresponding field of the eagerly
-   decoded node, and materialization reproduces the eager tree. *)
+   decoded node, and materialization reproduces the eager tree.  Returns
+   the first disagreement, if any. *)
+let eager_mismatch ~peer ~resolve bytes =
+  let exception Mismatch of string in
+  let ok idx what b =
+    if not b then raise (Mismatch (Printf.sprintf "node %d: %s disagrees" idx what))
+  in
+  try
+    let eager, nodes = Codec.decode_indexed ~pos:11 ~resolve bytes in
+    let li = Codec.decode_lazy ~pos:11 ~peer ~resolve bytes in
+    let v =
+      match li.I.view with
+      | Some v -> v
+      | None -> raise (Mismatch "decode_lazy carried no view")
+    in
+    if View.node_count v <> eager.I.node_count then
+      raise (Mismatch "node_count disagrees");
+    if
+      not
+        (li.I.snapshot = eager.I.snapshot
+        && li.I.server = eager.I.server
+        && li.I.txn_seq = eager.I.txn_seq
+        && li.I.isolation = eager.I.isolation
+        && li.I.byte_size = eager.I.byte_size)
+    then raise (Mismatch "header disagrees");
+    let kid_agrees idx what c (n : Node.tree) =
+      if View.kid_is_empty c then ok idx what (Node.is_empty n)
+      else if View.kid_is_inside c then ok idx what (n == nodes.(c))
+      else ok idx what (n == View.ref_of v c)
+    in
+    Array.iteri
+      (fun idx (n : Node.node) ->
+        ok idx "key" (View.key v idx = n.Node.key);
+        ok idx "meta" (View.meta v idx = n.Node.meta);
+        ok idx "vn" (Vn.equal (View.vn v idx) n.Node.vn);
+        ok idx "cv" (Vn.equal (View.cv v idx) n.Node.cv);
+        let sa, sb, ca, cb = View.sources v idx in
+        ok idx "sources"
+          (sa = n.Node.ssv_a && sb = n.Node.ssv_b && ca = n.Node.scv_a
+          && cb = n.Node.scv_b);
+        ok idx "payload" (Payload.equal (View.payload v idx) n.Node.payload);
+        ok idx "ssv" (vn_opt_equal (View.ssv v idx) (Node.ssv n));
+        (* the in-place source comparators mirror the packed ones *)
+        ok idx "ssv_equals vn"
+          (View.ssv_equals v idx n.Node.vn = Node.ssv_equals n n.Node.vn);
+        (match Node.ssv n with
+        | Some s -> ok idx "ssv_equals hit" (View.ssv_equals v idx s)
+        | None -> ());
+        ok idx "scv_equals cv"
+          (View.scv_equals v idx n.Node.cv = Node.scv_equals n n.Node.cv);
+        (match Node.scv n with
+        | Some s -> ok idx "scv_equals hit" (View.scv_equals v idx s)
+        | None -> ());
+        kid_agrees idx "left child" (View.kid_l v idx) n.Node.left;
+        kid_agrees idx "right child" (View.kid_r v idx) n.Node.right)
+      nodes;
+    if Tree.physically_equal (View.materialize_root v) eager.I.root then None
+    else Some "materialized tree differs"
+  with Mismatch m -> Some m
+
 let prop_view_matches_eager =
   QCheck2.Test.make ~name:"view accessors = eager decode, field by field"
     ~count:150 txn_gen (fun t ->
       match encode_txn t with
       | None -> true
-      | Some bytes ->
-          let eager, nodes = Codec.decode_indexed ~pos:11 ~resolve bytes in
-          let li = Codec.decode_lazy ~pos:11 ~peer:snapshot ~resolve bytes in
-          let v =
-            match li.I.view with
-            | Some v -> v
-            | None -> QCheck2.Test.fail_report "decode_lazy carried no view"
-          in
-          let ok idx what b =
-            if not b then
-              QCheck2.Test.fail_reportf "node %d: %s disagrees" idx what
-          in
-          if View.node_count v <> eager.I.node_count then
-            QCheck2.Test.fail_report "node_count disagrees";
-          if
-            not
-              (li.I.snapshot = eager.I.snapshot
-              && li.I.server = eager.I.server
-              && li.I.txn_seq = eager.I.txn_seq
-              && li.I.isolation = eager.I.isolation
-              && li.I.byte_size = eager.I.byte_size)
-          then QCheck2.Test.fail_report "header disagrees";
-          let kid_agrees idx what c (n : Node.tree) =
-            if View.kid_is_empty c then ok idx what (Node.is_empty n)
-            else if View.kid_is_inside c then ok idx what (n == nodes.(c))
-            else ok idx what (n == View.ref_of v c)
-          in
-          Array.iteri
-            (fun idx (n : Node.node) ->
-              ok idx "key" (View.key v idx = n.Node.key);
-              ok idx "meta" (View.meta v idx = n.Node.meta);
-              ok idx "vn" (Vn.equal (View.vn v idx) n.Node.vn);
-              ok idx "cv" (Vn.equal (View.cv v idx) n.Node.cv);
-              let sa, sb, ca, cb = View.sources v idx in
-              ok idx "sources"
-                (sa = n.Node.ssv_a && sb = n.Node.ssv_b && ca = n.Node.scv_a
-                && cb = n.Node.scv_b);
-              ok idx "payload" (Payload.equal (View.payload v idx) n.Node.payload);
-              ok idx "ssv" (vn_opt_equal (View.ssv v idx) (Node.ssv n));
-              (* the in-place source comparators mirror the packed ones *)
-              ok idx "ssv_equals vn"
-                (View.ssv_equals v idx n.Node.vn = Node.ssv_equals n n.Node.vn);
-              (match Node.ssv n with
-              | Some s -> ok idx "ssv_equals hit" (View.ssv_equals v idx s)
-              | None -> ());
-              ok idx "scv_equals cv"
-                (View.scv_equals v idx n.Node.cv = Node.scv_equals n n.Node.cv);
-              (match Node.scv n with
-              | Some s -> ok idx "scv_equals hit" (View.scv_equals v idx s)
-              | None -> ());
-              kid_agrees idx "left child" (View.kid_l v idx) n.Node.left;
-              kid_agrees idx "right child" (View.kid_r v idx) n.Node.right)
-            nodes;
-          Tree.physically_equal (View.materialize_root v) eager.I.root)
+      | Some bytes -> (
+          match eager_mismatch ~peer:snapshot ~resolve bytes with
+          | None -> true
+          | Some m -> QCheck2.Test.fail_report m))
 
 (* Every strict prefix of a valid encoding must be rejected with Corrupt
    — never accepted, never any other exception (pool/cursor state stays
@@ -187,6 +196,155 @@ let prop_bit_flip_differential =
           | None, Some _ ->
               QCheck2.Test.fail_reportf
                 "flip at byte %d bit %d: lazy accepted, eager rejected" i bit)
+
+(* ---- the parse kernel's scratch ---------------------------------------- *)
+
+let ref_count v =
+  let n = ref 0 in
+  for idx = 0 to View.node_count v - 1 do
+    if View.kid_l v idx <= -2 then incr n;
+    if View.kid_r v idx <= -2 then incr n
+  done;
+  !n
+
+(* Scattered writes over a large snapshot: a wide path-copy whose
+   untouched siblings become well over a thousand references — more
+   than the per-domain scratch starts with, so parsing it on a fresh
+   domain runs the growth path. *)
+let test_scratch_growth () =
+  let big = Helpers.genesis ~gap:2 40_000 in
+  let resolve_big ~snapshot:_ ~key ~vn:_ =
+    match Tree.find big key with Some n -> n | None -> Node.empty
+  in
+  let rng = Rng.create 77L in
+  let e =
+    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:big ~server:1 ~txn_seq:3
+      ~isolation:I.Serializable ()
+  in
+  for i = 1 to 1500 do
+    let k = Rng.int rng 40_000 * 2 in
+    if i mod 3 = 0 then ignore (Executor.read e k)
+    else Executor.write e k "g"
+  done;
+  let bytes =
+    match Executor.finish e with
+    | Some d -> Codec.encode d
+    | None -> Alcotest.fail "expected a draft"
+  in
+  let result =
+    Domain.join
+      (Domain.spawn (fun () ->
+           (* the domain's first parse is the one [eager_mismatch] checks *)
+           let mismatch = eager_mismatch ~peer:big ~resolve:resolve_big bytes in
+           let v = View.parse ~pos:11 ~peer:big ~resolve:resolve_big bytes in
+           (ref_count v, mismatch)))
+  in
+  let nrefs, mismatch = result in
+  check
+    (Printf.sprintf "more than 1024 references (%d)" nrefs)
+    true (nrefs > 1024);
+  match mismatch with
+  | None -> ()
+  | Some m -> Alcotest.failf "growth path: %s" m
+
+let wires_of_seed seed count =
+  let gen = QCheck2.Gen.generate ~rand:(Random.State.make [| seed |]) ~n:count txn_gen in
+  List.filter_map encode_txn gen
+
+(* Every accessor of [a] equals [b]'s, and bound references and elided
+   payloads are the same physical objects. *)
+let same_view a b =
+  let n = View.node_count a in
+  n = View.node_count b
+  && View.snapshot a = View.snapshot b
+  && View.server a = View.server b
+  && View.txn_seq a = View.txn_seq b
+  && View.isolation_code a = View.isolation_code b
+  && View.byte_size a = View.byte_size b
+  && List.for_all
+       (fun idx ->
+         let kid c d =
+           c = d && (c > -2 || View.ref_of a c == View.ref_of b d)
+         in
+         View.key a idx = View.key b idx
+         && View.meta a idx = View.meta b idx
+         && kid (View.kid_l a idx) (View.kid_l b idx)
+         && kid (View.kid_r a idx) (View.kid_r b idx)
+         && View.sources a idx = View.sources b idx
+         && Vn.equal (View.cv a idx) (View.cv b idx)
+         && Payload.equal (View.payload a idx) (View.payload b idx))
+       (List.init n Fun.id)
+  && Tree.physically_equal (View.materialize_root a) (View.materialize_root b)
+
+(* Two domains parse different intention streams at once (each through
+   its own scratch); every view equals the sequential parse of the same
+   bytes. *)
+let test_concurrent_domains () =
+  let streams = [| wires_of_seed 1 60; wires_of_seed 2 60 |] in
+  let parse_all wires =
+    List.map (fun w -> View.parse ~pos:11 ~peer:snapshot ~resolve w) wires
+  in
+  let parse_rounds wires =
+    let last = ref [] in
+    for _ = 1 to 20 do
+      last := parse_all wires
+    done;
+    !last
+  in
+  let ds = Array.map (fun w -> Domain.spawn (fun () -> parse_rounds w)) streams in
+  let concurrent = Array.map Domain.join ds in
+  Array.iteri
+    (fun d wires ->
+      check "stream not trivial" true (List.length wires > 30);
+      let seq = parse_all wires in
+      check
+        (Printf.sprintf "domain %d: views equal sequential parses" d)
+        true
+        (List.for_all2 same_view concurrent.(d) seq))
+    streams
+
+(* In steady state a parse allocates the view's own arrays and record and
+   nothing else: no per-parse binding scratch, cursor or closures.  The
+   intention is small enough that every array lives in the minor heap,
+   and it only updates existing keys, so every reference binds against
+   the snapshot without a resolver call. *)
+let test_steady_state_allocation () =
+  let e =
+    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot ~server:3 ~txn_seq:17
+      ~isolation:I.Serializable ()
+  in
+  List.iter (fun k -> ignore (Executor.read e (k * 3))) [ 10; 200 ];
+  List.iter (fun k -> Executor.write e (k * 3) "w") [ 7; 99; 311; 480 ];
+  let bytes =
+    match Executor.finish e with
+    | Some d -> Codec.encode d
+    | None -> Alcotest.fail "expected a draft"
+  in
+  let parse () = View.parse ~pos:11 ~peer:snapshot ~resolve bytes in
+  let v = parse () in
+  let n = View.node_count v and nrefs = ref_count v in
+  check (Printf.sprintf "small intention (%d nodes)" n) true (n > 4 && n < 60);
+  check "has references" true (nrefs > 0);
+  let block words = if words = 0 then 0 else words + 1 in
+  let expected =
+    block (4 * n) (* hot *)
+    + (2 * block (max 1 n)) (* offs, pays *)
+    + block nrefs (* refs *)
+    + block (Obj.size (Obj.repr v)) (* the view record *)
+  in
+  let bracket f =
+    let w0 = Gc.minor_words () in
+    let x = f () in
+    let w1 = Gc.minor_words () in
+    (x, int_of_float (w1 -. w0))
+  in
+  let _, overhead = bracket (fun () -> ()) in
+  for _ = 1 to 5 do
+    let v', words = bracket parse in
+    check "parse is repeatable" true (same_view v v');
+    Alcotest.(check int) "minor words = view arrays + record" expected
+      (words - overhead)
+  done
 
 (* ---- pipeline bit-identity: lazy vs eager across backends ------------ *)
 
@@ -286,6 +444,15 @@ let () =
             prop_truncation_rejected;
             prop_bit_flip_differential;
           ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "scratch growth binds as eager" `Quick
+            test_scratch_growth;
+          Alcotest.test_case "two domains = sequential" `Quick
+            test_concurrent_domains;
+          Alcotest.test_case "steady state allocates only the view" `Quick
+            test_steady_state_allocation;
+        ] );
       ( "pipeline",
         [
           Alcotest.test_case "lazy = eager across backends" `Quick
