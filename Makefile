@@ -1,4 +1,4 @@
-.PHONY: all build test check bench-smoke bench-macro bench-macro-baseline bench perfbench clean
+.PHONY: all build test check loc bench-smoke bench-macro bench-macro-baseline bench perfbench clean
 
 all: build
 
@@ -12,10 +12,14 @@ test:
 check:
 	dune build && dune runtest
 
+# Tracked size of the library: lines in lib/**/*.ml and lib/**/*.mli.
+loc:
+	@echo "lib_loc=$$(find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"
+
 # ~60-second smoke of the benchmark harness: the runtime-backends
-# cross-check replays one premeld-bound history through the sequential
-# and domain-parallel schedulers and verifies bit-identical results,
-# pipeline-overlap replays one wire stream through seq/par:4/pipe:4 and
+# cross-check replays one premeld-bound history through seq, pipe:2 and
+# pipe:4 and verifies bit-identical results,
+# pipeline-overlap replays one wire stream through seq/pipe:4 and
 # records per-stage stage_us plus the pipelined backend's offload stats,
 # and fig11 (nodes visited by final meld per optimization) contributes
 # four cluster runs so BENCH_SMOKE.json carries real perf data
@@ -27,7 +31,7 @@ bench-smoke:
 	python3 scripts/check_bench_smoke.py BENCH_SMOKE.json
 
 # Tracked macro-benchmark: replays one mixed read/write history through
-# seq, par:4 and pipe:4, measuring the final-meld critical path
+# seq, seq-eager and pipe:4, measuring the final-meld critical path
 # (fm_ns_per_txn) and exact per-stage GC words/txn.  The fresh run is
 # gated against the committed BENCH_MACRO.json baseline: any backend
 # diverging from sequential, the fm loop allocating more minor words/txn

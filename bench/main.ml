@@ -6,10 +6,10 @@
      dune exec bench/main.exe -- fig10 fig11  -- selected figures
      dune exec bench/main.exe -- --quick      -- fast smoke of everything
      dune exec bench/main.exe -- --paper      -- larger scale (slower)
-     dune exec bench/main.exe -- --runtime=par:4 fig10
+     dune exec bench/main.exe -- --runtime=pipe:4 fig10
                                               -- cluster runs use the
-                                                 domain-parallel premeld
-                                                 backend (see "runtime")
+                                                 pipelined stage backend
+                                                 (see "runtime")
      dune exec bench/main.exe -- --json=report.json --quick runtime
                                               -- also write a machine-readable
                                                  JSON run report
@@ -81,7 +81,7 @@ let paper_scale =
 let scale = ref default_scale
 
 (* Stage runtime for the real pipeline inside cluster runs (see
-   Cluster.config.runtime); settable with --runtime=par:<n>. *)
+   Cluster.config.runtime); settable with --runtime=pipe:<n>. *)
 let runtime = ref Runtime.sequential
 
 (* ---------------------------------------------------------------------- *)
@@ -92,18 +92,9 @@ let json_path : string option ref = ref None
 
 (* Flight-record sink (--flight=FILE): the macro figure records every
    transaction's per-stage wait/service flight, one recorder per backend
-   (labels "seq"/"par:4"/"pipe:4") multiplexed into this JSON-lines file
+   (labels "seq"/"seq-eager"/"pipe:4") multiplexed into this JSON-lines file
    for [hyder-cli analyze]. *)
 let flight_path : string option ref = ref None
-
-(* --adaptive: run the macro/overlap pipe rows with the adaptive handoff
-   controller on (the baseline shape stays non-adaptive so tracked
-   numbers compare like with like; results are bit-identical anyway). *)
-let adaptive = ref false
-
-let pipe4 () =
-  Runtime.Pipelined
-    { domains = 4; batch = Runtime.default_batch; adaptive = !adaptive }
 
 let current_figure = ref ""
 let report_runs : Json.t list ref = ref [] (* newest first *)
@@ -823,7 +814,7 @@ let abl_index_size () =
   Table.print t
 
 (* ---------------------------------------------------------------------- *)
-(* Runtime backends: real domain-parallel premeld vs the sequential         *)
+(* Runtime backends: the pipelined stage fabric vs the sequential          *)
 (* scheduler on one identical intention stream                              *)
 (* ---------------------------------------------------------------------- *)
 
@@ -878,8 +869,8 @@ let runtime_backends () =
   ignore (Pipeline.flush gen);
   let intentions = List.rev !intentions in
   (* Phase 2: replay the identical stream under each backend, feeding
-     submit_batch in slabs so the parallel backend gets full premeld
-     windows to fan out. *)
+     submit_batch in slabs so the pipelined backend gets full premeld
+     windows to stage. *)
   let slab = 256 in
   let batches =
     let rec take k acc = function
@@ -912,7 +903,7 @@ let runtime_backends () =
       ~title:
         (Printf.sprintf
            "Runtime backends: %d premeld-bound txns (t=5, d=10, groups of \
-            2) replayed through identical pipelines — the Parallel backend \
+            2) replayed through identical pipelines — the Pipelined backend \
             must be bit-identical to Sequential (Section 3.4)"
            (List.length intentions))
       ~columns:[ "runtime"; "wall s"; "pm busy s"; "speedup"; "same as seq" ]
@@ -940,7 +931,7 @@ let runtime_backends () =
   report "seq" base;
   List.iter
     (fun d ->
-      report (Printf.sprintf "par:%d" d) (run (Runtime.parallel ~domains:d)))
+      report (Printf.sprintf "pipe:%d" d) (run (Runtime.pipelined ~domains:d)))
     [ 2; 4 ];
   Table.print t;
   Printf.printf
@@ -1137,8 +1128,6 @@ let pipeline_overlap () =
                       ( "doorbell_wakeups",
                         Json.Int o.Pipeline.doorbell_wakeups );
                       ("driver_steals", Json.Int o.Pipeline.driver_steals);
-                      ("adaptive_batch", Json.Int o.Pipeline.adaptive_batch);
-                      ("adaptive_window", Json.Int o.Pipeline.adaptive_window);
                     ] );
             ("same_as_seq", Json.Bool same);
           ]
@@ -1146,8 +1135,7 @@ let pipeline_overlap () =
     end
   in
   report "seq" base;
-  report "par:4" (run (Runtime.parallel ~domains:4));
-  report "pipe:4" (run (pipe4 ()));
+  report "pipe:4" (run (Runtime.pipelined ~domains:4));
   Table.print t;
   Printf.printf
     "(driver us/int = (ds+pm+gm+fm seconds the driver itself executed) / \
@@ -1162,7 +1150,7 @@ let pipeline_overlap () =
    PRs via `make bench-macro` → BENCH_MACRO.json and gated by
    scripts/check_bench_smoke.py.  A fixed-seed wire stream (identical
    bytes run to run, so gate movement is code, not workload) is replayed
-   under seq/par:4/pipe:4; the first [warm_txns] intentions are warmup —
+   under seq/seq-eager/pipe:4; the first [warm_txns] intentions are warmup —
    counters, metrics and offload stats are snapshotted at the boundary
    and diffed at the end.  Per-stage GC words come from the pipeline's
    Fcounter instruments (Gc.counters deltas around the stage work; each
@@ -1321,9 +1309,7 @@ let macro () =
               match (off0, off1) with
               | Some a, Some b ->
                   (* Publication/doorbell/steal counters are cumulative;
-                     the measured window is the diff.  The adaptive
-                     batch/window are last-observation settings, so the
-                     end-of-run value is the one reported. *)
+                     the measured window is the diff. *)
                   Json.Obj
                     [
                       ( "batches",
@@ -1342,10 +1328,6 @@ let macro () =
                         Json.Int
                           (b.Pipeline.driver_steals
                           - a.Pipeline.driver_steals) );
-                      ("adaptive_batch", Json.Int b.Pipeline.adaptive_batch);
-                      ("adaptive_window", Json.Int b.Pipeline.adaptive_window);
-                      ( "adaptive_adjustments",
-                        Json.Int b.Pipeline.adaptive_adjustments );
                     ]
               | _ -> Json.Null );
             ( "stage_us",
@@ -1381,8 +1363,7 @@ let macro () =
      bit-identity check. *)
   report ~lazy_decode:false "seq-eager"
     (run ~lazy_decode:false "seq-eager" Runtime.sequential);
-  report "par:4" (run "par:4" (Runtime.parallel ~domains:4));
-  report "pipe:4" (run "pipe:4" (pipe4 ()));
+  report "pipe:4" (run "pipe:4" (Runtime.pipelined ~domains:4));
   (match (flight_sink, !flight_path) with
   | Some oc, Some path ->
       close_out oc;
@@ -1512,7 +1493,6 @@ let () =
           | Error msg ->
               Printf.eprintf "bad --runtime %S: %s\n" spec msg;
               exit 2)
-      | "--adaptive" -> adaptive := true
       | a when String.length a > 7 && String.sub a 0 7 = "--json=" ->
           json_path := Some (String.sub a 7 (String.length a - 7))
       | a when String.length a > 9 && String.sub a 0 9 = "--flight=" ->

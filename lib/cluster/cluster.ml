@@ -28,8 +28,8 @@ type config = {
   pipeline : Pipeline.config;
   runtime : Hyder_core.Runtime.backend;
       (** backend for the {e real} meld pipeline this simulation drives;
-          the simulator's own stage-time model is unaffected, so [par:n]
-          here lets measured parallel premeld be compared against the
+          the simulator's own stage-time model is unaffected, so [pipe:n]
+          here lets measured staged ds/pm/gm be compared against the
           modelled stage overlap *)
   corfu : Corfu.config;
   broadcast : Broadcast.config;
@@ -336,8 +336,8 @@ let run cfg =
     let seq = !submit_count in
     incr submit_count;
     info.seq <- seq;
-    (* submit_batch so a [Parallel] runtime's premeld really runs on its
-       domain pool; under [Sequential] this is exactly [submit].  For any
+    (* submit_batch so a [Pipelined] runtime's stages really run on its
+       worker domains; under [Sequential] this is exactly [submit].  For any
        given log prefix the decisions are identical across backends, but
        the *measured* stage seconds parameterize the queueing model, so a
        backend's real scheduling cost shows up in the modelled throughput
@@ -882,15 +882,13 @@ let pp_result fmt r =
   | Some h ->
       Format.fprintf fmt
         "; handoff %d batches/%d items (%.1f per publication), %d doorbell \
-         wakeups, %d steals, batch=%d window=%d (%d adjustments)"
+         wakeups, %d steals"
         h.Pipeline.handoff_batches h.Pipeline.handoff_items
         (if h.Pipeline.handoff_batches = 0 then 0.0
          else
            float_of_int h.Pipeline.handoff_items
            /. float_of_int h.Pipeline.handoff_batches)
         h.Pipeline.doorbell_wakeups h.Pipeline.driver_steals
-        h.Pipeline.adaptive_batch h.Pipeline.adaptive_window
-        h.Pipeline.adaptive_adjustments
 
 let result_to_json r =
   let ds, pm, gm, fm = r.stage_us in
@@ -942,9 +940,5 @@ let result_to_json r =
                 ("ds_inline", Json.Int h.Pipeline.ds_inline);
                 ("max_queue_depth", Json.Int h.Pipeline.max_queue_depth);
                 ("queue_capacity", Json.Int h.Pipeline.queue_capacity);
-                ("adaptive_batch", Json.Int h.Pipeline.adaptive_batch);
-                ("adaptive_window", Json.Int h.Pipeline.adaptive_window);
-                ( "adaptive_adjustments",
-                  Json.Int h.Pipeline.adaptive_adjustments );
               ] );
     ]

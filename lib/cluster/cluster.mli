@@ -34,10 +34,10 @@ type config = {
   pipeline : Hyder_core.Pipeline.config;
   runtime : Hyder_core.Runtime.backend;
       (** stage runtime for the real meld pipeline driving the simulation
-          ([Sequential] by default).  [Parallel _] runs the real premeld
-          trial melds on domains; decisions are identical by construction,
-          so this knob exists to cross-check measured parallel premeld
-          time against the simulator's modelled stage overlap *)
+          ([Sequential] by default).  [Pipelined _] runs the real ds, premeld
+          and group-meld stages on worker domains; decisions are identical
+          by construction, so this knob exists to cross-check measured
+          staged work against the simulator's modelled stage overlap *)
   corfu : Hyder_log.Corfu.config;
   broadcast : Hyder_log.Broadcast.config;
   workload : Hyder_workload.Ycsb.config;
@@ -107,8 +107,7 @@ type result = {
   handoff : Hyder_core.Pipeline.offload_stats option;
       (** stage-handoff accounting ([None] unless the runtime backend is
           [Pipelined]): ring publications vs items carried, doorbell
-          wakeups actually paid, driver steals, and the adaptive
-          controller's final batch/window *)
+          wakeups actually paid, and driver steals *)
 }
 
 val run : config -> result

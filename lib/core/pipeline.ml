@@ -62,8 +62,8 @@ type instruments = {
      gm wherever the single gm writer runs (the driver inline, or the
      dedicated gm worker under the pipelined backend — GC counters are
      domain-local, so the worker's sample measures exactly the gm work).
-     Fan-out stages (worker ds, parallel premeld windows) are not
-     sampled: several domains would race on one accumulator. *)
+     Fan-out stages (worker ds and pm) are not sampled: several domains
+     would race on one accumulator. *)
   m_ds_gc_minor : Metrics.Fcounter.t;
   m_ds_gc_promoted : Metrics.Fcounter.t;
   m_pm_gc_minor : Metrics.Fcounter.t;
@@ -89,7 +89,6 @@ type instruments = {
   m_spsc_batch : Metrics.Histogram.t;
   m_doorbells : Metrics.Counter.t;
   m_steals : Metrics.Counter.t;
-  m_adaptive_window : Metrics.Gauge.t;
 }
 
 (* GC sampling around a stage, inert when metrics are off: one branch,
@@ -235,6 +234,13 @@ type wctx = {
   dscratch : Codec.Scratch.t;  (** the driver's own scratch (inline decodes) *)
 }
 
+(* Handoff batch: jobs staged per worker before a ring publication.  Big
+   enough to amortize the doorbell on bursty input, small enough that a
+   latency-bound trickle is not delayed (the driver flushes partial
+   batches every round).  Each worker's in-flight window is the ring
+   capacity [qcap]. *)
+let handoff_batch = 8
+
 type pctx = {
   ppool : (carrier, carrier) Runtime.Stage_pool.t;
   pdomains : int;
@@ -244,7 +250,6 @@ type pctx = {
           kept [<= qcap] so a flush and a worker's result push can never
           fail *)
   wctx : wctx;
-  adapt : Runtime.Adaptive.t;
   free : carrier array array;  (** per-worker carrier free stacks *)
   free_top : int array;
   stage_buf : carrier array array;
@@ -275,9 +280,6 @@ type offload_stats = {
   handoff_items : int;
   doorbell_wakeups : int;
   driver_steals : int;
-  adaptive_batch : int;  (** flush threshold at last observation *)
-  adaptive_window : int;  (** in-flight window at last observation *)
-  adaptive_adjustments : int;
 }
 
 type t = {
@@ -285,7 +287,7 @@ type t = {
   lazy_decode : bool;
       (** decode wire bytes into flyweight views (materialized only as
           meld needs the nodes) instead of eager heap trees *)
-  runtime : Runtime.t;
+  runtime : Runtime.backend;
   trace : Trace.t;
   flight : Flight.t;
       (** per-transaction lifecycle recorder; only ever touched by the
@@ -307,14 +309,13 @@ type t = {
 let states t = t.states
 let counters t = t.counters
 let config t = t.config
-let runtime t = Runtime.backend t.runtime
+let runtime t = t.runtime
 let lcs t = State_store.latest t.states
 
 let shutdown t =
-  (match t.pstate with
+  match t.pstate with
   | Some p -> Runtime.Stage_pool.shutdown p.ppool
-  | None -> ());
-  Runtime.shutdown t.runtime
+  | None -> ()
 
 let offload t =
   Option.map
@@ -331,9 +332,6 @@ let offload t =
         handoff_items = p.handoff_items;
         doorbell_wakeups = Runtime.Stage_pool.doorbell_wakeups p.ppool;
         driver_steals = p.driver_steals;
-        adaptive_batch = Runtime.Adaptive.batch p.adapt;
-        adaptive_window = Runtime.Adaptive.window p.adapt;
-        adaptive_adjustments = Runtime.Adaptive.adjustments p.adapt;
       })
     t.pstate
 
@@ -774,7 +772,7 @@ let submit t (intention : Intention.t) =
   tail t ~seq unit_group
 
 (* ------------------------------------------------------------------ *)
-(* Premeld windows: shared snapshot-seq arithmetic                      *)
+(* Premeld windows: snapshot-seq arithmetic                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-member snapshot sequence numbers for a premeld window, exactly as
@@ -838,96 +836,6 @@ let window_snap_seqs t ~snap ~s0 ~poss ~snaps =
     if (p0 + i + 1) mod g = 0 then visible := i
   done;
   snap_seqs
-
-(* ------------------------------------------------------------------ *)
-(* Parallel premeld windows                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Run one premeld window in parallel and then drain its tail in log
-   order.  Preconditions established by [submit_batch]: premeld is on,
-   [Array.length window <= threads * distance + 1 - pending_members]
-   (so every member's designated input state is already recorded at
-   window start — group assembly delays recording by up to
-   [group_size - 1] states), and the intentions are the next ones in
-   log order. *)
-let run_window t (pc : Premeld.config) (window : Intention.t array) =
-  let b = Array.length window in
-  let s0 = t.next_seq in
-  t.next_seq <- s0 + b;
-  let snap = State_store.snapshot t.states in
-  let snap_seqs =
-    window_snap_seqs t ~snap ~s0
-      ~poss:(Array.map (fun (i : Intention.t) -> i.Intention.pos) window)
-      ~snaps:(Array.map (fun (i : Intention.t) -> i.Intention.snapshot) window)
-  in
-  let flighted = Flight.enabled t.flight in
-  (* Per-member trial-meld wall brackets, written at disjoint indexes by
-     the pool tasks (same single-writer argument as [outcomes]) and
-     stamped into the recorder by the driver after the join. *)
-  let pm_t0 = if flighted then Array.make b 0.0 else [||] in
-  let pm_t1 = if flighted then Array.make b 0.0 else [||] in
-  if flighted then begin
-    let now = Clock.now () in
-    Array.iter
-      (fun (i : Intention.t) ->
-        Flight.touch t.flight ~pos:i.Intention.pos ~now;
-        Flight.note_identity t.flight ~pos:i.Intention.pos
-          ~server:i.Intention.server ~txn_seq:i.Intention.txn_seq)
-      window
-  end;
-  (* Fan the trial melds out, sharded by paper thread id: pool task [k]
-     impersonates premeld thread [threads.(k)] and owns its allocator and
-     counter shard, processing that thread's members in log order. *)
-  let outcomes = Array.make b (Premeld.Unchanged window.(0)) in
-  let by_thread = Array.make pc.Premeld.threads [] in
-  for i = b - 1 downto 0 do
-    let th = Premeld.thread_for pc ~seq:(s0 + i) in
-    by_thread.(th - 1) <- i :: by_thread.(th - 1)
-  done;
-  let active =
-    Array.of_seq
-      (Seq.filter
-         (fun k -> by_thread.(k) <> [])
-         (Seq.init pc.Premeld.threads Fun.id))
-  in
-  let lookup = State_store.Snapshot.by_seq snap in
-  Runtime.run_tasks t.runtime ~tasks:(Array.length active) (fun task ->
-      let k = active.(task) in
-      let shard = t.counters.premeld_shards.(k) in
-      let t0 = Clock.now () in
-      List.iter
-        (fun i ->
-          let ft0 = if flighted then Clock.now () else 0.0 in
-          outcomes.(i) <-
-            Premeld.trial ~trace:t.trace pc ~snap_seq:snap_seqs.(i) ~lookup
-              ~alloc:t.pm_allocs.(k) ~counters:shard ~seq:(s0 + i)
-              window.(i);
-          if flighted then begin
-            pm_t0.(i) <- ft0;
-            pm_t1.(i) <- Clock.now ()
-          end)
-        by_thread.(k);
-      let t1 = Clock.now () in
-      shard.Counters.seconds <- shard.Counters.seconds +. (t1 -. t0);
-      (* Envelope span for the whole pool task, on the same ring the
-         task's trial melds write to (same impersonated thread = same
-         single writer). *)
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~track:(k + 1) ~stage:Trace.Premeld_window
-          ~seq:s0 ~t0 ~t1
-          ~nodes:(List.length by_thread.(k))
-          ~detail:task);
-  (* Merge back in submission order: group meld and final meld are the
-     same sequential tail the inline scheduler uses. *)
-  let decisions = ref [] in
-  for i = 0 to b - 1 do
-    if flighted then
-      Flight.edge t.flight ~pos:window.(i).Intention.pos ~stage:Flight.Pm
-        ~t0:pm_t0.(i) ~t1:pm_t1.(i);
-    let dgroup = group_of_outcome ~seq:(s0 + i) window.(i) outcomes.(i) in
-    decisions := List.rev_append (tail t ~seq:(s0 + i) dgroup) !decisions
-  done;
-  List.rev !decisions
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined windows                                                    *)
@@ -1164,18 +1072,13 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     if px.outstanding.(worker) > px.max_depth then
       px.max_depth <- px.outstanding.(worker);
     progress := true;
-    if px.stage_n.(worker) >= Runtime.Adaptive.batch px.adapt then flush worker
+    if px.stage_n.(worker) >= handoff_batch then flush worker
   in
-  (* In-flight window per worker: the adaptive controller can shrink it
-     below [qcap] to bias toward latency; release gates check it, the
-     budget proofs only need [limit () <= qcap] (guaranteed by the
-     controller's clamp). *)
-  let limit () = Runtime.Adaptive.window px.adapt in
   let release_ds () =
     for w = 0 to domains - 1 do
       let rec go () =
         match ds_jobs.(w) with
-        | i :: rest when px.outstanding.(w) < limit () ->
+        | i :: rest when px.outstanding.(w) < qcap ->
             (match window.(i) with
             | Ww { pos; src; off; len; _ } ->
                 let c = take w in
@@ -1201,7 +1104,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       let w = k mod domains in
       let rec go () =
         match pm_pending.(k) with
-        | i :: rest when px.outstanding.(w) < limit () -> (
+        | i :: rest when px.outstanding.(w) < qcap -> (
             match intentions.(i) with
             | Some _ ->
                 let c = take w in
@@ -1223,7 +1126,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   in
   let release_gm () =
     let rec go () =
-      if !gm_next < b && px.outstanding.(gm_worker) < limit () then begin
+      if !gm_next < b && px.outstanding.(gm_worker) < qcap then begin
         let i = !gm_next in
         let unit_group =
           match t.config.premeld with
@@ -1449,17 +1352,6 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     (* Partial batches must reach the rings before this round can decide
        to park — staged-but-unpublished work never wakes a worker. *)
     flush_all ();
-    (let depth = ref 0 in
-     for w = 0 to domains - 1 do
-       let d = Runtime.Stage_pool.job_depth pool ~worker:w in
-       if d > !depth then depth := d
-     done;
-     Runtime.Adaptive.observe px.adapt ~depth:!depth);
-    (match inst with
-    | None -> ()
-    | Some i ->
-        Metrics.Gauge.set i.m_adaptive_window
-          (float_of_int (Runtime.Adaptive.window px.adapt)));
     if (not !progress) && !rgm < b then begin
       let in_flight = Array.fold_left ( + ) 0 px.outstanding in
       if in_flight > 0 then begin
@@ -1499,12 +1391,16 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   List.rev !decisions
 
 (* Cut a stream of work items into safe windows and run each through the
-   staged pipeline.  Same window bound as the parallel backend: every
-   member's designated premeld input state must already be recorded at
-   window start.  Windows are drained completely before the next starts —
-   cross-window pipelining would require premelding against states the
-   previous window has not recorded yet. *)
+   staged pipeline.  The window bound: every member's designated premeld
+   input state must already be recorded at window start — states lag
+   submissions by the group members still being assembled, so the window
+   shrinks by [pending_members].  Windows are drained completely before
+   the next starts — cross-window pipelining would require premelding
+   against states the previous window has not recorded yet. *)
 let run_pipelined t (px : pctx) (items : witem array) =
+  (* Fail before touching any pipeline state: after [shutdown] the
+     workers are joined and a pushed job would never run. *)
+  Runtime.Stage_pool.check px.ppool;
   let n = Array.length items in
   let decisions = ref [] in
   let off = ref 0 in
@@ -1554,42 +1450,7 @@ let submit_batch t (intentions : Intention.t list) =
   | Some px ->
       run_pipelined t px
         (Array.of_list (List.map (fun i -> Wi i) intentions))
-  | None -> (
-      match (Runtime.is_parallel t.runtime, t.config.premeld) with
-      | false, _ | _, None ->
-          (* Sequential backend (or nothing to parallelize): the original
-             inline scheduler, one intention at a time. *)
-          List.concat_map (submit t) intentions
-      | true, Some pc ->
-          let arr = Array.of_list intentions in
-          let n = Array.length arr in
-          let decisions = ref [] in
-          let off = ref 0 in
-          while !off < n do
-            (* The designated input state of the window's last member must
-               already be recorded: states lag submissions by the group
-               members still being assembled, so the window shrinks by
-               [pending_members] (it re-widens as soon as a group inside
-               this window completes). *)
-            let cap =
-              (pc.Premeld.threads * pc.Premeld.distance) + 1
-              - t.pending_members
-            in
-            if cap < 1 then begin
-              (* Pathological config (group_size > threads*distance + 1):
-                 no window is safe, fall back to the inline scheduler for
-                 one intention and retry. *)
-              decisions := List.rev_append (submit t arr.(!off)) !decisions;
-              incr off
-            end
-            else begin
-              let b = min cap (n - !off) in
-              let window = Array.sub arr !off b in
-              decisions := List.rev_append (run_window t pc window) !decisions;
-              off := !off + b
-            end
-          done;
-          List.rev !decisions)
+  | None -> List.concat_map (submit t) intentions
 
 let submit_wire_batch t (items : (int * string) list) =
   match t.pstate with
@@ -1675,13 +1536,13 @@ let validate_shape ~who ~config ~runtime ~trace =
       (Printf.sprintf "Pipeline.%s: trace has fewer shards than premeld threads"
          who);
   (match runtime with
-  | Runtime.Pipelined { domains; _ } ->
+  | Runtime.Pipelined { domains } ->
       if Trace.enabled trace && Trace.workers trace < domains then
         invalid_arg
           (Printf.sprintf
              "Pipeline.%s: trace has fewer worker rings than pipelined domains"
              who)
-  | Runtime.Sequential | Runtime.Parallel _ -> ());
+  | Runtime.Sequential -> ());
   pm_threads
 
 let make_instruments metrics =
@@ -1707,13 +1568,12 @@ let make_instruments metrics =
         m_spsc_batch = Metrics.histogram m "spsc_batch_size";
         m_doorbells = Metrics.counter m "spsc_doorbell_wakeups_total";
         m_steals = Metrics.counter m "driver_steals_total";
-        m_adaptive_window = Metrics.gauge m "adaptive_window_size";
       })
     metrics
 
 let attach_pstate t runtime =
   match runtime with
-  | Runtime.Pipelined { domains; batch; adaptive } ->
+  | Runtime.Pipelined { domains } ->
       let wctx =
         {
           wsnap = State_store.snapshot t.states;
@@ -1738,9 +1598,6 @@ let attach_pstate t runtime =
             qcap;
             outstanding = Array.make domains 0;
             wctx;
-            adapt =
-              Runtime.Adaptive.create ~enabled:adaptive ~batch ~capacity:qcap
-                ();
             (* qcap carriers per worker pair: since staged + in-flight
                never exceeds qcap, a release gate passing implies a free
                carrier. *)
@@ -1762,7 +1619,7 @@ let attach_pstate t runtime =
             driver_steals = 0;
             doorbells_seen = 0;
           }
-  | Runtime.Sequential | Runtime.Parallel _ -> ()
+  | Runtime.Sequential -> ()
 
 let create ?(config = plain) ?(runtime = Runtime.sequential)
     ?(lazy_decode = true) ?(trace = Trace.disabled) ?(flight = Flight.disabled)
@@ -1772,7 +1629,7 @@ let create ?(config = plain) ?(runtime = Runtime.sequential)
     {
       config;
       lazy_decode;
-      runtime = Runtime.create ?metrics runtime;
+      runtime;
       trace;
       flight;
       inst = make_instruments metrics;
@@ -1834,7 +1691,7 @@ let restore ?(config = plain) ?(runtime = Runtime.sequential)
     {
       config;
       lazy_decode;
-      runtime = Runtime.create ?metrics runtime;
+      runtime;
       trace;
       flight;
       inst = make_instruments metrics;

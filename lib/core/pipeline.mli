@@ -10,12 +10,11 @@ open Hyder_tree
     interleaving.  How stages are scheduled onto hardware is delegated to
     {!Runtime}: the [Sequential] backend runs everything inline (the
     cluster simulator models physical parallelism from its per-stage
-    timings), the [Parallel] backend runs premeld trial melds on real
-    domains via {!submit_batch}, and the [Pipelined] backend stages the
-    whole pre-final-meld pipeline (deserialize, premeld, group meld)
-    across worker domains fed through bounded SPSC queues, leaving only
-    final meld on the driver — and, per the paper's Section 3.4 id
-    scheme, every backend must produce bit-identical results.
+    timings), and the [Pipelined] backend stages the whole
+    pre-final-meld pipeline (deserialize, premeld, group meld) across
+    worker domains fed through bounded SPSC queues, leaving only final
+    meld on the driver — and, per the paper's Section 3.4 id scheme,
+    both backends must produce bit-identical results.
 
     Stage thread ids for ephemeral VNs: final meld = 0, premeld threads =
     1..t, group meld = t+1. *)
@@ -65,30 +64,29 @@ val create :
     either way (the eager path remains as the reference, and the
     cross-backend suites compare the two).
 
-    [runtime] defaults to {!Runtime.sequential}.  A [Parallel] runtime
-    spawns its domain pool here, a [Pipelined] runtime its stage-pool
-    worker domains; call {!shutdown} when done with the pipeline to join
-    them.
+    [runtime] defaults to {!Runtime.sequential}.  A [Pipelined] runtime
+    spawns its stage-pool worker domains here; call {!shutdown} when done
+    with the pipeline to join them.
 
     [trace] (default {!Hyder_obs.Trace.disabled}) records per-stage spans:
     deserialize, group meld and final meld on ring 0 (the sequential
-    tail), each premeld trial on its paper thread's ring, plus one
-    envelope span per parallel pool task.  Under [Pipelined], offloaded
+    tail), each premeld trial on its paper thread's ring.  Under
+    [Pipelined], offloaded
     deserialize and group-meld spans land on the executing worker's own
     ring instead of ring 0.  The recorder must have at least as many
     shard rings as premeld threads, and under [Pipelined] at least as
-    many worker rings as domains ([Invalid_argument] otherwise).  [metrics], when given, registers pipeline instruments
+    many worker rings as domains ([Invalid_argument] otherwise).
+    [metrics], when given, registers pipeline instruments
     ([pipeline_commits], [pipeline_aborts], the per-reason
     [pipeline_aborts_{write,read,phantom}_conflict] breakdown,
-    [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn]) and
-    is forwarded to {!Runtime.create}.
+    [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn]).
 
     [flight] (default {!Hyder_obs.Flight.disabled}) records one
     lifecycle record per intention, keyed by log position: per-stage
     queue-wait/service pairs at every edge (decode, premeld trial,
     group-meld combine, final meld) and the decision with abort reason
     and conflict-zone size.  The recorder is driver-only; under
-    [Parallel]/[Pipelined] the worker-side stage brackets travel back in
+    [Pipelined] the worker-side stage brackets travel back in
     the runtime's result messages and are stamped on the driver, so the
     wait column measures real queue residency.
 
@@ -114,23 +112,21 @@ val submit : t -> Hyder_codec.Intention.t -> decision list
 val submit_batch : t -> Hyder_codec.Intention.t list -> decision list
 (** Feed the next intentions in log order, allowing the runtime backend
     to overlap premeld work across them.  Under [Sequential] this is
-    exactly [List.concat_map (submit t)].  Under [Parallel] the batch is
+    exactly [List.concat_map (submit t)].  Under [Pipelined] the batch is
     cut into premeld windows of at most [threads * distance + 1 -
     pending_group_members] intentions — the bound that guarantees every
     member's designated input state is already recorded when the window's
-    store snapshot is taken — each window's trial melds run
-    concurrently on the domain pool (one task per paper premeld thread,
-    owning that thread's allocator and counter shard), and the group/final
-    meld tail then drains sequentially in log order.  Under [Pipelined]
-    the same windows run through the staged ds/pm/gm worker fabric with
-    only final meld on the caller.  Decisions are returned in sequence
-    order and are bit-identical to the sequential backend's. *)
+    store snapshot is taken — and each window runs through the staged
+    ds/pm/gm worker fabric (premeld trials sharded by paper thread, each
+    thread's allocator and counter shard owned by one worker), with only
+    final meld on the caller.  Decisions are returned in sequence order
+    and are bit-identical to the sequential backend's.  Raises
+    [Invalid_argument] on a pipelined pipeline after {!shutdown}. *)
 
 val submit_wire_batch : t -> (int * string) list -> decision list
 (** Feed the next intentions in log order in wire form
     ([(log_position, encoded_bytes)]), letting the backend overlap
-    deserialization with melding.  Under [Sequential] / [Parallel] this
-    decodes maximal safe prefixes (every snapshot reference resolvable
+    deserialization with melding.  Under [Sequential] this decodes maximal safe prefixes (every snapshot reference resolvable
     against already-recorded states) and melds each chunk before
     decoding the next.  Under [Pipelined], decodes whose snapshot state
     is already recorded at window start run on worker domains straight
@@ -138,7 +134,8 @@ val submit_wire_batch : t -> (int * string) list -> decision list
     final meld records their snapshot state.  Decisions are identical
     to decoding everything up front and calling {!submit_batch}.
     Raises [Failure] on a stream whose snapshot references can never be
-    satisfied. *)
+    satisfied, and [Invalid_argument] on a pipelined pipeline after
+    {!shutdown}. *)
 
 (** Offload accounting for the [Pipelined] backend: how much stage work
     left the driver's critical path, and how deep the bounded queues
@@ -164,9 +161,6 @@ type offload_stats = {
           driver parks that were woken) *)
   driver_steals : int;
       (** backlogged ds/pm items the driver inlined instead of parking *)
-  adaptive_batch : int;  (** flush threshold at last observation *)
-  adaptive_window : int;  (** per-worker in-flight window at last observation *)
-  adaptive_adjustments : int;  (** batch resizes the controller applied *)
 }
 
 val offload : t -> offload_stats option
@@ -185,9 +179,10 @@ val config : t -> config
 val runtime : t -> Runtime.backend
 
 val shutdown : t -> unit
-(** Join the parallel runtime's domain pool, if any.  Idempotent; the
-    pipeline remains usable for sequential [submit] afterwards but not
-    for parallel [submit_batch]. *)
+(** Join the pipelined runtime's worker domains, if any.  Idempotent.
+    Afterwards sequential {!submit} still works; batch submits
+    ({!submit_batch}, {!submit_wire_batch}) on a pipelined pipeline raise
+    [Invalid_argument]. *)
 
 val prune : t -> keep:int -> unit
 (** Drop old retained states, but never below what premeld arithmetic

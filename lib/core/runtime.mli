@@ -1,24 +1,17 @@
 (** Pluggable stage runtime for the meld pipeline.
 
     The pipeline is a deterministic semantic machine; {e how} its stages
-    are scheduled onto hardware is this module's concern.  Three
-    backends:
+    are scheduled onto hardware is this module's concern.  Two backends:
 
     - {b Sequential} — every stage runs inline on the caller, one
       intention at a time, in log order.  This is the original scheduler,
       preserved bit-for-bit: the cluster simulator measures its per-stage
       wall-clock and models physical parallelism on top of it.
-    - {b Parallel} — premeld trial melds run on a pool of real OCaml 5
-      domains ({!Hyder_util.Domain_pool}).  Each pool task impersonates
-      one paper premeld thread (Section 3.4): it owns that thread's
-      ephemeral-id allocator and counter shard, so ephemeral node ids
-      [(thread, seq)] are identical to the sequential backend's no matter
-      which domain runs the task or in what order tasks finish.  Group
-      meld and final meld stay sequential in log order; results are
-      merged back in submission order.
     - {b Pipelined} — the whole pre-final-meld pipeline is staged across
-      domains: deserialization runs on worker domains straight from wire
-      buffers, premeld slices are dealt to workers per paper thread, and
+      domains (the paper's Section 3.4): deserialization runs on worker
+      domains straight from wire buffers, premeld slices are dealt to
+      workers per paper thread (each worker impersonates its threads, so
+      it owns their ephemeral-id allocators and counter shards), and
       group-meld combining is offloaded to a dedicated worker, all fed
       and drained through bounded SPSC queues ({!Hyder_util.Spsc_queue})
       with backpressure.  Final meld alone stays on the driver, in log
@@ -36,38 +29,19 @@
     therefore changes wall-clock and nothing else; the cross-backend
     property test in [test/test_runtime.ml] checks exactly this. *)
 
-type backend =
-  | Sequential
-  | Parallel of { domains : int }
-  | Pipelined of { domains : int; batch : int; adaptive : bool }
-      (** [batch] is the driver's handoff flush threshold (jobs staged
-          per worker before a ring publication); [adaptive] lets the
-          {!Adaptive} controller resize it (and the in-flight window)
-          from observed queue depths at runtime.  Both are wall-clock
-          scheduling knobs only — results are bit-identical across every
-          setting. *)
-
-val default_batch : int
-(** Handoff batch used when a pipelined spec does not name one. *)
+type backend = Sequential | Pipelined of { domains : int }
 
 val sequential : backend
 
-val parallel : domains:int -> backend
+val pipelined : domains:int -> backend
 (** [domains >= 1], [Invalid_argument] otherwise. *)
 
-val pipelined : domains:int -> backend
-(** [domains >= 1], [Invalid_argument] otherwise; {!default_batch},
-    non-adaptive.  Use the {!backend} record directly (or {!parse}) to
-    set [batch] / [adaptive]. *)
-
 val parse : string -> (backend, string) result
-(** ["seq"], ["par:<n>"] or ["pipe:<n>[:<batch>][:adaptive]"] (e.g.
-    ["pipe:4"], ["pipe:4:32"], ["pipe:2:adaptive"]); bare ["par"] /
-    ["pipe"] mean two domains. *)
+(** ["seq"] or ["pipe:<n>"] (e.g. ["pipe:4"]); bare ["pipe"] means two
+    domains. *)
 
 val to_string : backend -> string
-(** Inverse of {!parse} (canonical: default batch and non-adaptive are
-    elided). *)
+(** Inverse of {!parse}. *)
 
 (** Bounded worker fabric for the pipelined backend.
 
@@ -82,7 +56,10 @@ val to_string : backend -> string
 
     A worker exception cancels the fabric: the first exception is
     captured, every worker unwinds, and the exception re-raises on the
-    driver from the next {!Stage_pool.wait} / submit / drain call. *)
+    driver from the next {!Stage_pool.check} / {!Stage_pool.wait} /
+    submit / drain call.  After {!Stage_pool.shutdown} those calls raise
+    [Invalid_argument] instead: the workers are gone, so a submitted job
+    would never run. *)
 module Stage_pool : sig
   type ('j, 'r) t
 
@@ -100,19 +77,13 @@ module Stage_pool : sig
       published before submitting the job (jobs for distinct workers
       must be pairwise independent). *)
 
-  val domains : ('j, 'r) t -> int
+  val check : ('j, 'r) t -> unit
+  (** Driver only.  Re-raise a captured worker exception; raise
+      [Invalid_argument] once the pool is shut down. *)
 
   val queue_capacity : ('j, 'r) t -> int
   (** Per-queue bound after power-of-two rounding — also the driver's
       outstanding-results budget per worker. *)
-
-  val try_submit : ('j, 'r) t -> worker:int -> 'j -> bool
-  (** Driver only.  [false] iff worker [worker]'s job queue is full;
-      the driver then drains results or runs the job inline. *)
-
-  val try_result : ('j, 'r) t -> worker:int -> 'r option
-  (** Driver only.  [None] iff worker [worker] has no finished result
-      queued. *)
 
   val submit_batch : ('j, 'r) t -> worker:int -> 'j array -> len:int -> int
   (** Driver only.  Push [buf.(0 .. len-1)] to worker [worker]'s job
@@ -122,10 +93,6 @@ module Stage_pool : sig
   val result_batch : ('j, 'r) t -> worker:int -> 'r array -> max:int -> int
   (** Driver only.  Pop up to [max] finished results into [buf] with one
       head publication; returns how many were popped. *)
-
-  val job_depth : ('j, 'r) t -> worker:int -> int
-  (** Jobs currently queued (not yet popped) for worker [worker].  Exact
-      for the driver between its own operations. *)
 
   val doorbell_wakeups : ('j, 'r) t -> int
   (** Condvar round-trips the handoff actually paid for, cumulative:
@@ -147,66 +114,3 @@ module Stage_pool : sig
   (** Stop and join every worker domain.  Idempotent.  Re-raises a
       captured worker exception after the join. *)
 end
-
-(** Adaptive handoff controller for the pipelined driver.
-
-    Resizes the handoff batch (flush threshold) and the in-flight window
-    from queue depths the driver observes each scheduling round: a run
-    of backed-up observations doubles the batch (throughput mode —
-    amortize doorbells and publications), a run of dry observations
-    halves it (latency mode — hand work over eagerly), with hysteresis
-    so a single spike cannot flap the setting.  The window tracks
-    [4 * batch] clamped to [\[batch, capacity\]].
-
-    Strictly a wall-clock knob: it never changes which worker runs a
-    job or the order results are applied, so melds stay bit-identical
-    with the controller on or off.  When [enabled] is false, {!observe}
-    is a no-op and the batch/window stay at their creation values. *)
-module Adaptive : sig
-  type t
-
-  val create :
-    ?growth:int -> enabled:bool -> batch:int -> capacity:int -> unit -> t
-  (** [batch] is clamped to [\[1, capacity\]]; [growth] (default 3) is
-      the hysteresis run length before a resize. *)
-
-  val batch : t -> int
-  val window : t -> int
-
-  val adjustments : t -> int
-  (** Batch-size changes applied so far. *)
-
-  val observe : t -> depth:int -> unit
-  (** Feed one scheduling-round observation: [depth] is the deepest job
-      queue seen this round (relative to the capacity given at
-      creation). *)
-end
-
-type t
-(** An instantiated runtime: the backend descriptor plus, for [Parallel],
-    the live domain pool.  A [Pipelined] runtime carries only the
-    descriptor — the pipeline instantiates its own {!Stage_pool}, typed
-    by its job/result variants. *)
-
-val create : ?metrics:Hyder_obs.Metrics.t -> backend -> t
-(** [metrics], when given, registers scheduling instruments
-    ([runtime_domains] gauge, [runtime_task_batches] and [runtime_tasks]
-    counters) that {!run_tasks} updates; purely observational. *)
-
-val backend : t -> backend
-
-val is_parallel : t -> bool
-
-val is_pipelined : t -> bool
-
-val run_tasks : t -> tasks:int -> (int -> unit) -> unit
-(** Execute [tasks] independent tasks: [Sequential] and [Pipelined] run
-    them inline in index order; [Parallel] runs them concurrently on the
-    pool (any order, any domain).  Tasks handed to this function must be
-    pairwise independent — the pipeline shards premeld work by paper
-    thread id to guarantee it. *)
-
-val shutdown : t -> unit
-(** Join the domain pool, if any.  Idempotent; a no-op for [Sequential]
-    and [Pipelined] (the pipeline owns and shuts down its own stage
-    pool). *)

@@ -53,9 +53,9 @@ val resolver : ?stage:string -> t -> Hyder_codec.Codec.resolver
     retention window and may be read concurrently from any number of
     domains without synchronization.  The trees it hands out are
     immutable, so they are likewise safe to traverse in parallel.  The
-    parallel premeld backend takes one snapshot per premeld window,
-    before any trial meld is fanned out, and workers only ever read
-    through it. *)
+    pipelined backend takes one snapshot per premeld window, before any
+    decode or trial meld is handed to a worker, and workers only ever
+    read through it. *)
 module Snapshot : sig
   type t
 

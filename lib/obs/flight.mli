@@ -17,8 +17,8 @@
 
     - [wait.(s)  += max 0 (t0 - t_last)]  — time spent queued between
       the previous edge and this stage starting (SPSC queue residency
-      under [pipe:<n>], window/batch latency under [par:<n>], zero by
-      construction under [seq]);
+      and window latency under [pipe:<n>], zero by construction under
+      [seq]);
     - [service.(s) += max 0 (t1 - t0)]    — time the stage actually
       worked on the intention;
     - [t_last <- max t_last t1].

@@ -1,30 +1,26 @@
 type stage =
   | Deserialize
   | Premeld
-  | Premeld_window
   | Group_meld
   | Final_meld
 
 let stage_to_string = function
   | Deserialize -> "deserialize"
   | Premeld -> "premeld"
-  | Premeld_window -> "premeld window"
   | Group_meld -> "group meld"
   | Final_meld -> "final meld"
 
 let stage_code = function
   | Deserialize -> 0
   | Premeld -> 1
-  | Premeld_window -> 2
-  | Group_meld -> 3
-  | Final_meld -> 4
+  | Group_meld -> 2
+  | Final_meld -> 3
 
 let stage_of_code = function
   | 0 -> Deserialize
   | 1 -> Premeld
-  | 2 -> Premeld_window
-  | 3 -> Group_meld
-  | 4 -> Final_meld
+  | 2 -> Group_meld
+  | 3 -> Final_meld
   | c -> invalid_arg (Printf.sprintf "Trace.stage_of_code %d" c)
 
 type span = {
@@ -148,7 +144,7 @@ let tid_of ~shards s =
     | Final_meld -> 0
     | Deserialize -> 1
     | Group_meld -> 2
-    | Premeld | Premeld_window -> 9 + s.track
+    | Premeld -> 9 + s.track
 
 let pid = 1
 

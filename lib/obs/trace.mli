@@ -32,10 +32,6 @@
 type stage =
   | Deserialize
   | Premeld  (** one trial meld; [detail]: 1 = premelded, 2 = dead *)
-  | Premeld_window
-      (** a parallel backend pool task: one thread's slice of a premeld
-          window; [nodes] carries the member count, [detail] the task
-          index *)
   | Group_meld
   | Final_meld  (** [detail]: 1 = group committed, 0 = aborted *)
 
@@ -97,7 +93,7 @@ val to_chrome : ?origin:float -> t -> Json.t
 (** Chrome trace-event JSON (load in Perfetto / [chrome://tracing]).
     Final meld, group meld, deserialize, each premeld shard and each
     pipelined worker domain get their own named track, so stage overlap
-    under [par:<n>] / [pipe:<n>] is visually auditable.  Timestamps are
+    under [pipe:<n>] is visually auditable.  Timestamps are
     microseconds relative to [origin] (default: the earliest retained
     span).  When any ring overflowed ({!dropped} [> 0]) the export leads
     with a global instant event naming the dropped-span count, so a

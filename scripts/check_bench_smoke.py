@@ -56,7 +56,7 @@ import sys
 # collections, so they breathe with collection timing.
 GC_MINOR_TOLERANCE = 1.05
 # Wall-clock metric on shared CI hardware.  The sequential row is the
-# stable one; under par/pipe the driver's fm contends with worker
+# stable one; under pipe the driver's fm contends with worker
 # domains for cores, so those rows get a much looser bound.
 FM_NS_TOLERANCE_SEQ = 1.75
 FM_NS_TOLERANCE_MULTI = 3.0
@@ -115,7 +115,7 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
     rows = load_rows(run_path, "macro")
     if not rows:
         fail("no macro rows in the report (run `make bench-macro`?)")
-    for want in ("seq", "par:", "pipe:"):
+    for want in ("seq", "pipe:"):
         if not any(name == want or name.startswith(want) for name in rows):
             fail(f"missing backend {want}* in {sorted(rows)}")
 
@@ -204,9 +204,7 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
     msgs.append(f"handoff {h['items'] / h['batches']:.1f} items/publication, "
                 f"{h['doorbell_wakeups']} doorbells, "
                 f"{h['driver_steals']} steals, "
-                f"residual driver alloc {residual:.0f} w/txn, "
-                f"adaptive batch={h['adaptive_batch']} "
-                f"window={h['adaptive_window']}")
+                f"residual driver alloc {residual:.0f} w/txn")
 
     eager = rows.get("seq-eager")
     if eager is not None:

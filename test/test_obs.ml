@@ -2,8 +2,8 @@
    recorder and its offline analyzer — and the inertness contract:
    wiring a trace recorder, a metrics registry or a flight recorder into
    the pipeline changes NOTHING observable (decisions, ephemeral node
-   identities, per-shard integer counters), under the Sequential,
-   Parallel and Pipelined runtime backends. *)
+   identities, per-shard integer counters), under the Sequential and
+   Pipelined runtime backends. *)
 
 module Json = Hyder_obs.Json
 module Metrics = Hyder_obs.Metrics
@@ -604,7 +604,7 @@ let test_tracing_is_inert () =
   in
   List.iter
     (fun (name, runtime, slab) ->
-      let trace = Trace.create ~shards:5 () in
+      let trace = Trace.create ~shards:5 ~workers:4 () in
       let metrics = Metrics.create () in
       let d, final, counts =
         replay ~trace ~metrics ~config ~runtime ~slab genesis intentions
@@ -626,11 +626,11 @@ let test_tracing_is_inert () =
       | _ -> Alcotest.fail "pipeline_commits missing")
     [
       ("traced seq", Runtime.sequential, max_int);
-      ("traced par:4", Runtime.parallel ~domains:4, 64);
+      ("traced pipe:4", Runtime.pipelined ~domains:4, 64);
     ]
 
 (* The flight recorder rides the same contract: recording every
-   intention's lifecycle changes nothing observable, under all three
+   intention's lifecycle changes nothing observable, under both
    runtime backends.  The enabled runs double as a lifecycle audit at
    scale: every decision closes exactly one record, none leak, and the
    per-reason abort counters agree with the decision stream. *)
@@ -682,7 +682,6 @@ let test_flight_is_inert () =
         (counter "flight_records_total"))
     [
       ("flight seq", Runtime.sequential, max_int);
-      ("flight par:2", Runtime.parallel ~domains:2, 64);
       ("flight pipe:2", Runtime.pipelined ~domains:2, 64);
     ]
 
@@ -748,9 +747,9 @@ let () =
         ] );
       ( "inertness",
         [
-          Alcotest.test_case "tracing on = tracing off (seq and par:4)"
+          Alcotest.test_case "tracing on = tracing off (seq and pipe:4)"
             `Quick test_tracing_is_inert;
-          Alcotest.test_case "flight on = flight off (seq, par:2, pipe:2)"
+          Alcotest.test_case "flight on = flight off (seq, pipe:2)"
             `Quick test_flight_is_inert;
           Alcotest.test_case "trace shards must cover premeld threads" `Quick
             test_trace_shard_mismatch;

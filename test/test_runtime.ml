@@ -1,10 +1,11 @@
-(* The Runtime contract (Section 3.4): scheduling premeld onto domains
-   changes wall-clock and nothing else.  Sequential and Parallel backends
+(* The Runtime contract (Section 3.4): staging the pipeline onto domains
+   changes wall-clock and nothing else.  Sequential and Pipelined backends
    must produce identical commit/abort decisions, identical ephemeral node
    identities (checked via physical tree equality), and identical premeld
    work counts, over randomized histories including group_size > 1 and
-   premeld distance > 1.  Also unit-tests the Domain_pool and Clock
-   utilities the Parallel backend is built from. *)
+   premeld distance > 1.  Also unit-tests the stage-pool fabric, the
+   runtime spec parser and the Clock the Pipelined backend is built
+   from. *)
 
 module Tree = Hyder_tree.Tree
 module Pipeline = Hyder_core.Pipeline
@@ -14,7 +15,6 @@ module Counters = Hyder_core.Counters
 module Executor = Hyder_core.Executor
 module I = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
-module Domain_pool = Hyder_util.Domain_pool
 module Clock = Hyder_util.Clock
 module Rng = Hyder_util.Rng
 
@@ -203,9 +203,7 @@ let test_paper_config () =
     ~runs:
       [
         ("seq slab 1", Runtime.sequential, 1);
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:3 slab 37", Runtime.parallel ~domains:3, 37);
-        ("par:2 slab 1", Runtime.parallel ~domains:2, 1);
+        ("pipe:2 slab 1", Runtime.pipelined ~domains:2, 1);
         ("pipe:1", Runtime.pipelined ~domains:1, max_int);
         ("pipe:2 slab 37", Runtime.pipelined ~domains:2, 37);
         ("pipe:4", Runtime.pipelined ~domains:4, max_int);
@@ -213,7 +211,6 @@ let test_paper_config () =
     ~wire_runs:
       [
         ("wire seq slab 19", Runtime.sequential, 19);
-        ("wire par:2", Runtime.parallel ~domains:2, max_int);
         ("wire pipe:2", Runtime.pipelined ~domains:2, max_int);
         ("wire pipe:3 slab 23", Runtime.pipelined ~domains:3, 23);
       ]
@@ -229,8 +226,7 @@ let test_small_distance () =
     ~txns:300 ~seed:21
     ~runs:
       [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:4 slab 5", Runtime.parallel ~domains:4, 5);
+        ("pipe:2", Runtime.pipelined ~domains:2, max_int);
         ("pipe:2 slab 5", Runtime.pipelined ~domains:2, 5);
       ]
     ~wire_runs:[ ("wire pipe:2", Runtime.pipelined ~domains:2, max_int) ]
@@ -246,8 +242,7 @@ let test_big_groups () =
     ~txns:300 ~seed:33
     ~runs:
       [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:3 slab 11", Runtime.parallel ~domains:3, 11);
+        ("pipe:2 slab 11", Runtime.pipelined ~domains:2, 11);
         ("pipe:3", Runtime.pipelined ~domains:3, max_int);
       ]
     ~wire_runs:[ ("wire pipe:3 slab 11", Runtime.pipelined ~domains:3, 11) ]
@@ -255,7 +250,7 @@ let test_big_groups () =
 
 (* group_size = threads*distance + 1, the boundary of the retention
    arithmetic: just before a group completes, every state a premeld
-   could designate is still pending, so parallel windows shrink all the
+   could designate is still pending, so pipelined windows shrink all the
    way down to a single intention — and must still match the inline
    scheduler bit for bit.  (group_size beyond this bound is unsupported:
    premeld-bound intentions would designate states the group assembly
@@ -270,8 +265,7 @@ let test_group_at_window_bound () =
     ~txns:200 ~seed:55
     ~runs:
       [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:2 slab 3", Runtime.parallel ~domains:2, 3);
+        ("pipe:2", Runtime.pipelined ~domains:2, max_int);
         ("pipe:2 slab 3", Runtime.pipelined ~domains:2, 3);
       ]
     ()
@@ -280,11 +274,7 @@ let test_premeld_off () =
   check_backends
     ~config:{ Pipeline.premeld = None; group_size = 2 }
     ~txns:200 ~seed:77
-    ~runs:
-      [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("pipe:2", Runtime.pipelined ~domains:2, max_int);
-      ]
+    ~runs:[ ("pipe:2", Runtime.pipelined ~domains:2, max_int) ]
     ~wire_runs:[ ("wire pipe:2 slab 7", Runtime.pipelined ~domains:2, 7) ]
     ()
 
@@ -327,13 +317,13 @@ let test_pipelined_burst () =
         = List.length intentions);
       check "worker ds time measured" true (o.Pipeline.worker_ds_seconds > 0.0)
 
-(* The batched-handoff sweep: every handoff batch size and the adaptive
-   controller are pure wall-clock knobs, so a bursty wire replay must be
-   bit-identical to the sequential baseline at batch 1 (the pre-batching
-   behaviour), the default, and a batch far above the queue capacity,
-   with the controller on or off.  Slab sizes mix one giant burst with a
-   trickle so both the flush-on-threshold and flush-partial paths run. *)
-let test_batched_handoff_sweep () =
+(* The batched-handoff slab sweep: batching only delays when jobs are
+   published, so a bursty wire replay must be bit-identical to the
+   sequential baseline whether slabs trickle in one intention at a time
+   (every round flushes a partial batch), arrive in slabs of 17 (a mix of
+   full and partial flushes) or as one giant burst (flush-at-threshold
+   dominates).  No publication may carry more than the fixed batch. *)
+let test_handoff_slab_sweep () =
   let config =
     {
       Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
@@ -347,14 +337,11 @@ let test_batched_handoff_sweep () =
   check_int "sweep baseline decided everything" (List.length intentions)
     (List.length wd);
   List.iter
-    (fun (batch, adaptive, slab) ->
-      let runtime = Runtime.Pipelined { domains = 2; batch; adaptive } in
-      let name =
-        Printf.sprintf "%s slab %d" (Runtime.to_string runtime)
-          (min slab 999_999)
-      in
+    (fun slab ->
+      let name = Printf.sprintf "pipe:2 slab %d" (min slab 999_999) in
       let d, final, counts, off =
-        replay_wire ~config ~runtime ~slab genesis wires
+        replay_wire ~config ~runtime:(Runtime.pipelined ~domains:2) ~slab
+          genesis wires
       in
       compare_to_baseline ~name ~bd:wd ~bfinal:wfinal ~bcounts:wcounts
         (d, final, counts);
@@ -365,22 +352,9 @@ let test_batched_handoff_sweep () =
             (o.Pipeline.handoff_batches > 0);
           check (name ^ ": items cover publications") true
             (o.Pipeline.handoff_items >= o.Pipeline.handoff_batches);
-          check (name ^ ": adaptive batch within bounds") true
-            (o.Pipeline.adaptive_batch >= 1
-            && o.Pipeline.adaptive_batch <= o.Pipeline.queue_capacity);
-          check (name ^ ": window covers the batch") true
-            (o.Pipeline.adaptive_window >= o.Pipeline.adaptive_batch);
-          if not adaptive then
-            check (name ^ ": controller off means no adjustments") true
-              (o.Pipeline.adaptive_adjustments = 0))
-    [
-      (1, false, max_int);
-      (4, false, 17);
-      (32, false, max_int);
-      (1, true, 17);
-      (4, true, max_int);
-      (32, true, 1);
-    ]
+          check (name ^ ": no publication exceeds the handoff batch") true
+            (o.Pipeline.handoff_items <= 8 * o.Pipeline.handoff_batches))
+    [ 1; 17; max_int ]
 
 (* Satellite of the batched-handoff work: one steady-state round of the
    stage-pool fabric — batched submit, worker exec, batched drain — must
@@ -499,42 +473,59 @@ let test_pipelined_trace_inert () =
       Pipeline.shutdown p;
       Alcotest.fail "trace with too few worker rings accepted"
 
-(* ------------------------------------------------------------------ *)
-(* Domain_pool                                                          *)
-(* ------------------------------------------------------------------ *)
+(* After [shutdown] the worker domains are joined, so a pipelined batch
+   submit must fail fast instead of queueing jobs no worker will ever
+   pop.  Each call runs on a helper domain and must raise within a
+   bounded time; a hang fails the test rather than the whole suite.  The
+   failed calls must not touch pipeline state: sequential [submit] then
+   replays the stream to the sequential baseline's decisions. *)
+let raises_invalid_within ~seconds f =
+  let outcome = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set outcome
+          (Some
+             (match f () with
+             | _ -> "returned"
+             | exception Invalid_argument _ -> "Invalid_argument"
+             | exception e -> Printexc.to_string e)))
+  in
+  let deadline = Clock.now () +. seconds in
+  while Atomic.get outcome = None && Clock.now () < deadline do
+    Unix.sleepf 0.005
+  done;
+  match Atomic.get outcome with
+  | None -> Alcotest.failf "still blocked after %.0f s" seconds
+  | Some r ->
+      Domain.join d;
+      r
 
-let test_pool_runs_every_task () =
-  let pool = Domain_pool.create ~domains:3 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  check_int "size" 3 (Domain_pool.size pool);
-  let n = 200 in
-  let hits = Array.make n 0 in
-  Domain_pool.run pool ~tasks:n (fun i -> hits.(i) <- hits.(i) + 1);
-  check "each task ran exactly once" true
-    (Array.for_all (fun h -> h = 1) hits);
-  (* the pool is persistent: a second round reuses the same domains *)
-  Domain_pool.run pool ~tasks:n (fun i -> hits.(i) <- hits.(i) + 1);
-  check "reusable" true (Array.for_all (fun h -> h = 2) hits)
-
-let test_pool_propagates_exception () =
-  let pool = Domain_pool.create ~domains:2 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  (match Domain_pool.run pool ~tasks:8 (fun i -> if i = 5 then failwith "boom")
-   with
-  | () -> Alcotest.fail "expected the task's exception to propagate"
-  | exception Failure m -> check "message" true (m = "boom"));
-  (* a failed round must not poison the pool *)
-  let c = Atomic.make 0 in
-  Domain_pool.run pool ~tasks:4 (fun _ -> Atomic.incr c);
-  check_int "usable after failure" 4 (Atomic.get c)
-
-let test_pool_single_domain_and_shutdown () =
-  let pool = Domain_pool.create ~domains:1 in
-  let c = Atomic.make 0 in
-  Domain_pool.run pool ~tasks:10 (fun _ -> Atomic.incr c);
-  check_int "ran" 10 (Atomic.get c);
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool (* idempotent *)
+let test_batch_after_shutdown_raises () =
+  let config = { Pipeline.premeld = None; group_size = 2 } in
+  let genesis, intentions, wires = make_stream ~config ~txns:12 ~seed:5 in
+  let intentions = List.filteri (fun i _ -> i < 8) intentions in
+  let wires = List.filteri (fun i _ -> i < 8) wires in
+  check_int "eight intentions" 8 (List.length intentions);
+  let bd, _, _ =
+    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
+  in
+  let p =
+    Pipeline.create ~config ~runtime:(Runtime.pipelined ~domains:2) ~genesis
+      ()
+  in
+  Pipeline.shutdown p;
+  Alcotest.(check string)
+    "submit_batch after shutdown" "Invalid_argument"
+    (raises_invalid_within ~seconds:10.0 (fun () ->
+         Pipeline.submit_batch p intentions));
+  Alcotest.(check string)
+    "submit_wire_batch after shutdown" "Invalid_argument"
+    (raises_invalid_within ~seconds:10.0 (fun () ->
+         Pipeline.submit_wire_batch p wires));
+  let d = List.concat_map (Pipeline.submit p) intentions @ Pipeline.flush p in
+  check "sequential submit still works after shutdown" true
+    (List.length d = List.length bd && List.for_all2 same_decision d bd);
+  Pipeline.shutdown p (* idempotent *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock and Runtime descriptors                                        *)
@@ -553,8 +544,6 @@ let test_runtime_parse () =
   check "seq" true (Runtime.parse "seq" = Ok Runtime.sequential);
   check "sequential" true
     (Runtime.parse "sequential" = Ok Runtime.sequential);
-  check "par:3" true (Runtime.parse "par:3" = Ok (Runtime.parallel ~domains:3));
-  check "bare par" true (Runtime.parse "par" = Ok (Runtime.parallel ~domains:2));
   check "pipe:4" true
     (Runtime.parse "pipe:4" = Ok (Runtime.pipelined ~domains:4));
   check "bare pipe" true
@@ -564,60 +553,28 @@ let test_runtime_parse () =
   (match Runtime.parse "nope" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse accepted garbage");
-  (match Runtime.parse "par:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parse accepted par:0");
   (match Runtime.parse "pipe:0" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse accepted pipe:0");
-  check "pipe:4:32 sets the batch" true
-    (Runtime.parse "pipe:4:32"
-    = Ok (Runtime.Pipelined { domains = 4; batch = 32; adaptive = false }));
-  check "pipe:2:adaptive" true
-    (Runtime.parse "pipe:2:adaptive"
-    = Ok
-        (Runtime.Pipelined
-           { domains = 2; batch = Runtime.default_batch; adaptive = true }));
-  check "pipe:2:4:adaptive" true
-    (Runtime.parse "pipe:2:4:adaptive"
-    = Ok (Runtime.Pipelined { domains = 2; batch = 4; adaptive = true }));
-  check "a is shorthand for adaptive" true
-    (Runtime.parse "pipe:3:a"
-    = Ok
-        (Runtime.Pipelined
-           { domains = 3; batch = Runtime.default_batch; adaptive = true }));
-  (match Runtime.parse "pipe:2:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parse accepted batch 0");
-  (match Runtime.parse "pipe:2:4:bogus" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parse accepted a bogus pipe token");
+  (* The removed backend and scheduling knobs are rejected, and the
+     error names the two specs that remain. *)
+  List.iter
+    (fun spec ->
+      check (spec ^ " rejected, naming seq | pipe:<n>") true
+        (Runtime.parse spec
+        = Error
+            (Printf.sprintf "unknown runtime %S (want seq | pipe:<n>)" spec)))
+    [ "par:2"; "pipe:4:32"; "pipe:2:adaptive" ];
   check "round-trip" true
-    (Runtime.to_string (Runtime.parallel ~domains:4) = "par:4"
-    && Runtime.to_string (Runtime.pipelined ~domains:4) = "pipe:4"
+    (Runtime.to_string (Runtime.pipelined ~domains:4) = "pipe:4"
     && Runtime.to_string Runtime.sequential = "seq");
-  check "round-trip elides defaults only" true
-    (Runtime.to_string
-       (Runtime.Pipelined { domains = 4; batch = 32; adaptive = false })
-     = "pipe:4:32"
-    && Runtime.to_string
-         (Runtime.Pipelined
-            { domains = 2; batch = Runtime.default_batch; adaptive = true })
-       = "pipe:2:adaptive"
-    && Runtime.to_string
-         (Runtime.Pipelined { domains = 2; batch = 4; adaptive = true })
-       = "pipe:2:4:adaptive");
   check "canonical strings re-parse to themselves" true
     (List.for_all
        (fun s ->
          match Runtime.parse s with
          | Ok b -> Runtime.to_string b = s
          | Error _ -> false)
-       [ "seq"; "par:4"; "pipe:4"; "pipe:4:32"; "pipe:2:adaptive";
-         "pipe:2:4:adaptive" ]);
-  (match Runtime.parallel ~domains:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "parallel ~domains:0 accepted");
+       [ "seq"; "pipe:1"; "pipe:4" ]);
   match Runtime.pipelined ~domains:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "pipelined ~domains:0 accepted"
@@ -639,21 +596,14 @@ let () =
         [
           Alcotest.test_case "bursty wire batch, bounded queues" `Quick
             test_pipelined_burst;
-          Alcotest.test_case "batch {1,4,32} x adaptive on/off sweep" `Quick
-            test_batched_handoff_sweep;
+          Alcotest.test_case "handoff slab {1,17,max} sweep" `Quick
+            test_handoff_slab_sweep;
           Alcotest.test_case "stage-pool handoff round allocates nothing"
             `Quick test_stage_pool_handoff_allocates_nothing;
           Alcotest.test_case "tracing stays observational" `Quick
             test_pipelined_trace_inert;
-        ] );
-      ( "domain pool",
-        [
-          Alcotest.test_case "runs every task once" `Quick
-            test_pool_runs_every_task;
-          Alcotest.test_case "propagates exceptions" `Quick
-            test_pool_propagates_exception;
-          Alcotest.test_case "single domain, shutdown idempotent" `Quick
-            test_pool_single_domain_and_shutdown;
+          Alcotest.test_case "batch submits raise after shutdown" `Quick
+            test_batch_after_shutdown_raises;
         ] );
       ( "clock and descriptors",
         [

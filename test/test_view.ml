@@ -429,8 +429,8 @@ let test_pipeline_lazy_eager_identical () =
       check (name ^ ": premeld work identical") true (counts = bcounts))
     [
       ("lazy seq", true, Runtime.sequential);
-      ("lazy par:2", true, Runtime.parallel ~domains:2);
       ("lazy pipe:2", true, Runtime.pipelined ~domains:2);
+      ("lazy pipe:3", true, Runtime.pipelined ~domains:3);
       ("eager pipe:2", false, Runtime.pipelined ~domains:2);
     ]
 
