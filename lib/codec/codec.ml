@@ -14,11 +14,6 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
    snapshots) stay one byte. *)
 let zigzag v = Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63)
 
-let unzigzag v =
-  Int64.logxor
-    (Int64.shift_right_logical v 1)
-    (Int64.neg (Int64.logand v 1L))
-
 let w_zint w v =
   (* Unboxed fast path: for |v| < 2^60 the native zigzag equals the
      64-bit one, and the non-negative result takes Writer.varint's
@@ -28,17 +23,22 @@ let w_zint w v =
   let s = v asr 60 in
   if s = 0 || s = -1 then Wire.Writer.varint w (v lsl 1 lxor (v asr 62))
   else Wire.Writer.varint64 w (zigzag (Int64.of_int v))
-let r_zint r = Int64.to_int (unzigzag (Wire.Reader.varint64 r))
-
-let w_vn w = function
-  | Vn.Logged { pos; idx } ->
-      Wire.Writer.u8 w 0;
-      w_zint w pos;
-      Wire.Writer.varint w idx
-  | Vn.Ephemeral { thread; seq } ->
-      Wire.Writer.u8 w 1;
-      Wire.Writer.varint w thread;
-      Wire.Writer.varint w seq
+(* Zigzag decode of a varint, unboxed and exactly [Int64.to_int] of the
+   64-bit decode [(u lsr 1) lxor -(u land 1)] of [Wire.Reader.varint64]'s
+   [u]: bits 0..62 of [u] accumulate natively, and bit 63 (the low bit of
+   a tenth byte) matters only through the shift, which moves it to bit
+   62. *)
+let r_zint r =
+  let x = ref 0 and hi = ref 0 and shift = ref 0 and continue = ref true in
+  while !continue do
+    if !shift > 63 then raise Wire.Truncated;
+    let b = Wire.Reader.u8 r in
+    if !shift < 63 then x := !x lor ((b land 0x7F) lsl !shift)
+    else hi := b land 1;
+    shift := !shift + 7;
+    if b land 0x80 = 0 then continue := false
+  done;
+  ((!x lsr 1) lor (!hi lsl 62)) lxor - (!x land 1)
 
 let r_vn r =
   match Wire.Reader.u8 r with
@@ -52,8 +52,8 @@ let r_vn r =
       Vn.ephemeral ~thread ~seq
   | tag -> corrupt "bad VN tag %d" tag
 
-(* [w_vn] over the packed source-version words — same bytes, no boxed
-   [Vn.t] in between. *)
+(* One wire VN from its packed words: tag 0 then zigzag [pos] and [idx]
+   for a logged VN, tag 1 then [thread] and [seq] for an ephemeral one. *)
 let w_vn_parts w ~eph ~a ~b =
   if eph then begin
     Wire.Writer.u8 w 1;
@@ -102,7 +102,9 @@ let encode_onto w (d : Intention.draft) =
     else if Node.owner c = Intention.draft_owner then corrupt "child before parent"
     else begin
       Wire.Writer.u8 w tag_ref;
-      w_vn w c.vn;
+      w_vn_parts w
+        ~eph:(c.meta land Meta.vn_ephemeral <> 0)
+        ~a:c.vn_a ~b:c.vn_b;
       w_zint w c.key
     end
   in
@@ -219,7 +221,7 @@ let decode_core r ~len ~pos ~resolve ~get_nodes =
           let resolved = resolve ~snapshot ~key ~vn in
           if resolved == Node.empty then
             corrupt "unresolvable reference to key %d" key
-          else if not (Vn.equal resolved.vn vn) then
+          else if not (Node.vn_equals resolved vn) then
             corrupt "reference to key %d resolved to wrong version" key;
           resolved
       | t -> corrupt "bad child tag %d" t
@@ -275,40 +277,38 @@ let decode_core r ~len ~pos ~resolve ~get_nodes =
           let m = resolve ~snapshot ~key ~vn:source_vn in
           if m == Node.empty then
             corrupt "elided payload: key %d missing from snapshot" key
-          else if not (Vn.equal m.vn source_vn) then
+          else if not (Node.vn_equals m source_vn) then
             corrupt "elided payload: source of key %d is version %s" key
-              (Vn.to_string m.vn);
+              (Vn.to_string (Node.vn m));
           m.payload
         end
       in
       let left = r_child idx in
       let right = r_child idx in
       let altered = flags land 1 <> 0 in
-      let vn = Vn.logged ~pos ~idx in
-      let cv =
-        if altered then vn
-        else begin
-          if not has_scv then
-            corrupt "unaltered node %d lacks a content version" key;
-          if scv_eph then Vn.ephemeral ~thread:scv_a ~seq:scv_b
-          else Vn.logged ~pos:scv_a ~idx:scv_b
-        end
-      in
+      if (not altered) && not has_scv then
+        corrupt "unaltered node %d lacks a content version" key;
+      (* vn is Logged (pos, idx); an altered node is its own content
+         version, any other takes its scv's. *)
       let meta =
         ob lor (flags land 0x7)
         lor (if has_ssv then
                if ssv_eph then Meta.ssv_present lor Meta.ssv_ephemeral
                else Meta.ssv_present
              else 0)
-        lor
-        if has_scv then
-          if scv_eph then Meta.scv_present lor Meta.scv_ephemeral
-          else Meta.scv_present
-        else 0
+        lor (if has_scv then
+               if scv_eph then Meta.scv_present lor Meta.scv_ephemeral
+               else Meta.scv_present
+             else 0)
+        lor if (not altered) && scv_eph then Meta.cv_ephemeral else 0
       in
       nodes.(idx) <-
-        Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b
-          ~scv_a ~scv_b
+        (if altered then
+           Node.pack ~key ~payload ~left ~right ~vn_a:pos ~vn_b:idx ~cv_a:pos
+             ~cv_b:idx ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
+         else
+           Node.pack ~key ~payload ~left ~right ~vn_a:pos ~vn_b:idx
+             ~cv_a:scv_a ~cv_b:scv_b ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b)
     done;
     if Wire.Reader.remaining r <> 0 then corrupt "trailing bytes";
     let root = if node_count = 0 then Node.empty else nodes.(node_count - 1) in

@@ -29,10 +29,11 @@ type t = {
 }
 
 (* The draft owner must outrank every real log position and still leave
-   [Meta.owner_bits draft_owner] an immediate int (owner + 1 shifted left
-   by [Meta.owner_shift] has to fit in 62 bits — [max_int] would wrap to
-   the state owner's zero bits). *)
-let draft_owner = 1 lsl 53
+   [Meta.owner_bits draft_owner] a positive immediate int (owner + 1
+   shifted left by [Meta.owner_shift] has to fit in 62 bits — a larger
+   owner would wrap into the sign bit or to the state owner's zero
+   bits). *)
+let draft_owner = 1 lsl 51
 let draft_vn ~idx = Vn.logged ~pos:max_int ~idx
 let draft_owner_bits = Meta.owner_bits draft_owner
 
@@ -50,11 +51,20 @@ let assign ~pos ?(byte_size = 0) (d : draft) =
       let right = go t.right in
       let idx = !count in
       incr count;
-      let vn = Vn.logged ~pos ~idx in
-      let cv = if t.meta land Meta.altered <> 0 then vn else t.cv in
-      Node.pack ~key:t.key ~payload:t.payload ~left ~right ~vn ~cv
-        ~meta:(ob lor (t.meta land Meta.carry_mask))
-        ~ssv_a:t.ssv_a ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
+      (* vn := Logged (pos, idx); an altered node is its own content
+         version, any other keeps its cv and that cv's class bit. *)
+      if t.meta land Meta.altered <> 0 then
+        Node.pack ~key:t.key ~payload:t.payload ~left ~right ~vn_a:pos
+          ~vn_b:idx ~cv_a:pos ~cv_b:idx
+          ~meta:(ob lor (t.meta land Meta.carry_mask))
+          ~ssv_a:t.ssv_a ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
+      else
+        Node.pack ~key:t.key ~payload:t.payload ~left ~right ~vn_a:pos
+          ~vn_b:idx ~cv_a:t.cv_a ~cv_b:t.cv_b
+          ~meta:
+            (ob
+            lor (t.meta land (Meta.carry_mask lor Meta.cv_ephemeral)))
+          ~ssv_a:t.ssv_a ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
     end
   in
   let root = go d.root in

@@ -119,70 +119,52 @@ let skip_vn v =
   (if eph then ignore (rvarint v) else ignore (rzint v));
   ignore (rvarint v)
 
-(* Mirrors [Node.ssv_equals] over the packed wire words: presence and
-   value class come from the meta word, the version words are re-read in
-   place.  No allocation — this runs once per meld visit. *)
-let ssv_equals v idx (x : Vn.t) =
-  let m = meta v idx in
-  match x with
-  | Vn.Logged { pos; idx = i } ->
-      m land (Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral)
-      = Node.Meta.ssv_present
-      &&
-      (let _ = seek_sources v idx in
-       let _tag = u8 v in
-       rzint v = pos && rvarint v = i)
-  | Vn.Ephemeral { thread; seq } ->
-      m land (Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral)
-      = Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral
-      &&
-      (let _ = seek_sources v idx in
-       let _tag = u8 v in
-       rvarint v = thread && rvarint v = seq)
+(* Mirror [Node.ssv_is_vn] / [Node.scv_is_cv] with this side's source
+   versions re-read off the wire in place: presence and value class come
+   from the meta word, the version words from the bytes.  No allocation —
+   these run once per meld visit. *)
+let[@inline] words_match v ~eph a b =
+  let _tag = u8 v in
+  let x = if eph then rvarint v else rzint v in
+  x = a && rvarint v = b
+
+let ssv_is_vn v idx (m : Node.node) =
+  meta v idx land (Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral)
+  = Node.Meta.ssv_of_vn m.meta
+  &&
+  (let _ = seek_sources v idx in
+   words_match v
+     ~eph:(m.meta land Node.Meta.vn_ephemeral <> 0)
+     m.vn_a m.vn_b)
 
 let seek_scv v idx =
   let f = seek_sources v idx in
   if f land 8 <> 0 then skip_vn v
 
-let scv_equals v idx (x : Vn.t) =
-  let m = meta v idx in
-  match x with
-  | Vn.Logged { pos; idx = i } ->
-      m land (Node.Meta.scv_present lor Node.Meta.scv_ephemeral)
-      = Node.Meta.scv_present
-      &&
-      (seek_scv v idx;
-       let _tag = u8 v in
-       rzint v = pos && rvarint v = i)
-  | Vn.Ephemeral { thread; seq } ->
-      m land (Node.Meta.scv_present lor Node.Meta.scv_ephemeral)
-      = Node.Meta.scv_present lor Node.Meta.scv_ephemeral
-      &&
-      (seek_scv v idx;
-       let _tag = u8 v in
-       rvarint v = thread && rvarint v = seq)
+let scv_is_cv v idx (m : Node.node) =
+  meta v idx land (Node.Meta.scv_present lor Node.Meta.scv_ephemeral)
+  = Node.Meta.scv_of_cv m.meta
+  &&
+  (seek_scv v idx;
+   words_match v
+     ~eph:(m.meta land Node.Meta.cv_ephemeral <> 0)
+     m.cv_a m.cv_b)
+
+(* First word of the wire VN at the cursor (tag byte, then zigzag [pos]
+   or plain [thread]); its second word follows as a plain varint. *)
+let[@inline] rword_a v = if u8 v = 1 then rvarint v else rzint v
 
 (* Packed source-version words, exactly as the eager decoder stores them
    ([0, 0] when absent).  One tuple of immediates — callers are
-   node-construction paths that allocate anyway. *)
+   node-construction paths that allocate anyway; [materialize] reads the
+   same words without it. *)
 let sources v idx =
   let f = seek_sources v idx in
-  let ssv_a, ssv_b =
-    if f land 8 <> 0 then begin
-      let eph = u8 v = 1 in
-      let a = if eph then rvarint v else rzint v in
-      (a, rvarint v)
-    end
-    else (0, 0)
-  in
-  let scv_a, scv_b =
-    if f land 16 <> 0 then begin
-      let eph = u8 v = 1 in
-      let a = if eph then rvarint v else rzint v in
-      (a, rvarint v)
-    end
-    else (0, 0)
-  in
+  let ssv = f land 8 <> 0 and scv = f land 16 <> 0 in
+  let ssv_a = if ssv then rword_a v else 0 in
+  let ssv_b = if ssv then rvarint v else 0 in
+  let scv_a = if scv then rword_a v else 0 in
+  let scv_b = if scv then rvarint v else 0 in
   (ssv_a, ssv_b, scv_a, scv_b)
 
 let payload v idx =
@@ -202,20 +184,6 @@ let payload v idx =
     in
     v.pays.(idx) <- p;
     p
-  end
-
-(* Content version as the eager decoder computes it: an altered node's cv
-   is its own vn; an unaltered node's comes from its scv (whose presence
-   the parse enforced). *)
-let cv v idx =
-  let m = meta v idx in
-  if m land Node.Meta.altered <> 0 then Vn.logged ~pos:v.pos ~idx
-  else begin
-    seek_scv v idx;
-    let eph = u8 v = 1 in
-    let a = if eph then rvarint v else rzint v in
-    let b = rvarint v in
-    if eph then Vn.ephemeral ~thread:a ~seq:b else Vn.logged ~pos:a ~idx:b
   end
 
 (* Option view of the ssv — cold paths only (corrupt-intention reports). *)
@@ -244,17 +212,21 @@ let rec materialize v idx =
     let left = mat_kid v v.hot.(h + 2) in
     let right = mat_kid v v.hot.(h + 3) in
     let payload = payload v idx in
-    let ssv_a, ssv_b, scv_a, scv_b = sources v idx in
-    let vn = Vn.logged ~pos:v.pos ~idx in
-    let cv =
-      if meta land Node.Meta.altered <> 0 then vn
-      else if meta land Node.Meta.scv_ephemeral <> 0 then
-        Vn.ephemeral ~thread:scv_a ~seq:scv_b
-      else Vn.logged ~pos:scv_a ~idx:scv_b
-    in
+    (* [sources] without the tuple: a materialized node is one block *)
+    let f = seek_sources v idx in
+    let ssv = f land 8 <> 0 and scv = f land 16 <> 0 in
+    let ssv_a = if ssv then rword_a v else 0 in
+    let ssv_b = if ssv then rvarint v else 0 in
+    let scv_a = if scv then rword_a v else 0 in
+    let scv_b = if scv then rvarint v else 0 in
+    (* vn is Logged (pos, idx); [meta] already carries the cv's class *)
     let n =
-      Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b ~scv_a
-        ~scv_b
+      if meta land Node.Meta.altered <> 0 then
+        Node.pack ~key ~payload ~left ~right ~vn_a:v.pos ~vn_b:idx
+          ~cv_a:v.pos ~cv_b:idx ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
+      else
+        Node.pack ~key ~payload ~left ~right ~vn_a:v.pos ~vn_b:idx
+          ~cv_a:scv_a ~cv_b:scv_b ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
     in
     v.nodes.(idx) <- n;
     n
@@ -280,10 +252,8 @@ let rec find_peer (p : Node.tree) (k : Key.t) =
     if k = pk then p else if k < pk then find_peer p.left k
     else find_peer p.right k
 
-let[@inline] vn_matches (x : Vn.t) ~eph ~a ~b =
-  match x with
-  | Vn.Logged { pos; idx } -> (not eph) && pos = a && idx = b
-  | Vn.Ephemeral { thread; seq } -> eph && thread = a && seq = b
+let[@inline] vn_matches (n : Node.node) ~eph ~a ~b =
+  n.vn_a = a && n.vn_b = b && (n.meta land Node.Meta.vn_ephemeral <> 0) = eph
 
 (* Per-domain parse scratch: the structural pass's cursor ([s], [lim],
    [p]) and the binding inputs it records in [sc], so that each wire
@@ -429,7 +399,7 @@ let[@inline] kid_hw hot obh c =
   c >= 0 && Array.unsafe_get hot ((c * 4) + 1) land Node.Meta.hw_mask = obh
 
 let bind_elided v (resolve : resolver) idx key (m : Node.tree) ~eph ~a ~b =
-  if m != Node.empty && vn_matches m.vn ~eph ~a ~b then
+  if m != Node.empty && vn_matches m ~eph ~a ~b then
     v.pays.(idx) <- m.payload
   else begin
     let source_vn =
@@ -438,9 +408,9 @@ let bind_elided v (resolve : resolver) idx key (m : Node.tree) ~eph ~a ~b =
     let m = resolve ~snapshot:v.snapshot ~key ~vn:source_vn in
     if m == Node.empty then
       corrupt "elided payload: key %d missing from snapshot" key
-    else if not (Vn.equal m.vn source_vn) then
+    else if not (Node.vn_equals m source_vn) then
       corrupt "elided payload: source of key %d is version %s" key
-        (Vn.to_string m.vn);
+        (Vn.to_string (Node.vn m));
     v.pays.(idx) <- m.payload
   end
 
@@ -457,7 +427,7 @@ let bind_ref v sc base (resolve : resolver) c pkey (m : Node.tree) sub =
   let a = Array.unsafe_get sc (at + 1) and b = Array.unsafe_get sc (at + 2) in
   let n0 = find_peer sub key in
   let n =
-    if n0 != Node.empty && vn_matches n0.vn ~eph ~a ~b then n0
+    if n0 != Node.empty && vn_matches n0 ~eph ~a ~b then n0
     else begin
       let x =
         if eph then Vn.ephemeral ~thread:a ~seq:b else Vn.logged ~pos:a ~idx:b
@@ -465,7 +435,7 @@ let bind_ref v sc base (resolve : resolver) c pkey (m : Node.tree) sub =
       let resolved = resolve ~snapshot:v.snapshot ~key ~vn:x in
       if resolved == Node.empty then
         corrupt "unresolvable reference to key %d" key
-      else if not (Vn.equal resolved.vn x) then
+      else if not (Node.vn_equals resolved x) then
         corrupt "reference to key %d resolved to wrong version" key;
       resolved
     end
@@ -560,6 +530,8 @@ let record_and_bind c ~pos ~len ~peer ~resolve s =
           | 0 -> 0
           | 1 -> Node.Meta.scv_present
           | _ -> Node.Meta.scv_present lor Node.Meta.scv_ephemeral)
+      (* the cv of an unaltered node is its scv; vn is always logged *)
+      lor (if flags land 1 = 0 && scv = 2 then Node.Meta.cv_ephemeral else 0)
       (* bottom-up [Node.pack] has-writes rule: children precede parents
          in post-order, so their meta words are already final *)
       lor

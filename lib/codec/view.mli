@@ -70,6 +70,9 @@ val root_index : t -> int
 
 val key : t -> int -> Key.t
 val meta : t -> int -> int
+(** The materialized node's [meta] word, class bits included: a node's
+    content version is its own version ({!vn}) if altered, else its scv,
+    whose class this word carries. *)
 
 val kid_l : t -> int -> int
 val kid_r : t -> int -> int
@@ -84,13 +87,13 @@ val ref_of : t -> int -> Node.tree
 (** The bound reference behind a [<= -2] child descriptor. *)
 
 val vn : t -> int -> Vn.t
-(** The node's version — [Vn.logged ~pos ~idx].  Allocates the vn. *)
+(** The node's version — [Vn.logged ~pos ~idx].  Allocates; cold paths. *)
 
-val ssv_equals : t -> int -> Vn.t -> bool
-(** Mirrors [Node.ssv_equals], re-reading the wire words in place. *)
+val ssv_is_vn : t -> int -> Node.node -> bool
+(** Mirrors [Node.ssv_is_vn], re-reading the wire words in place. *)
 
-val scv_equals : t -> int -> Vn.t -> bool
-(** Mirrors [Node.scv_equals]. *)
+val scv_is_cv : t -> int -> Node.node -> bool
+(** Mirrors [Node.scv_is_cv]. *)
 
 val sources : t -> int -> int * int * int * int
 (** [(ssv_a, ssv_b, scv_a, scv_b)] packed words, [0, 0] when absent —
@@ -99,9 +102,6 @@ val sources : t -> int -> int * int * int * int
 val payload : t -> int -> Payload.t
 (** Memoized: tombstones and bound elided payloads are immediate; an
     inline wire payload is copied out once on first use. *)
-
-val cv : t -> int -> Vn.t
-(** Content version as the eager decoder computes it. *)
 
 val ssv : t -> int -> Vn.t option
 (** Boxed ssv; cold paths only (corrupt-intention reports). *)

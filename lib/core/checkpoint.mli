@@ -16,10 +16,11 @@ type stats = {
 }
 
 val compact : pos:int -> Tree.t -> Tree.t * stats
-(** [compact ~pos state] rebuilds [state] without tombstones.  Nodes get
-    VNs [Logged (pos, idx)] in key order and keep their content versions,
-    so later conflict checks against pre-checkpoint readers still work:
-    a key's [cv] is preserved verbatim. *)
+(** [compact ~pos state] rebuilds [state] without tombstones, in O(n)
+    through {!Tree.build_sorted}.  Nodes get VNs [Logged (pos, idx)] in
+    key order and keep their content versions, so later conflict checks
+    against pre-checkpoint readers still work: a key's cv is preserved
+    verbatim. *)
 
 (** {1 Durable checkpoints (crash recovery)}
 
@@ -27,18 +28,16 @@ val compact : pos:int -> Tree.t -> Tree.t * stats
     {e bit-identically} from sequence [seq + 1]: the retained state window
     (premeld input arithmetic and snapshot-reference resolution both read
     recent states, not just the newest one), the ephemeral-id allocator
-    cursors, and a deep copy of the counters.  The [compacted] tree is the
-    canonical durable encoding of the newest state — the form a production
-    Hyder would serialize; melding the log suffix onto it yields identical
-    decisions and a logically equal tree (see the compaction tests), while
-    the exact window is what makes the replay {e physically} identical. *)
+    cursors, and a deep copy of the counters.  The exact window is what
+    makes the replay {e physically} identical, so capture copies no tree
+    and builds none: {!compact} is the offline canonical form (melding the
+    log suffix onto it yields identical decisions and a logically equal
+    tree, see the compaction tests), not part of a checkpoint. *)
 
 type t = {
   seq : int;  (** newest melded sequence number at capture *)
   pos : int;  (** its log position; replay covers [(pos, tail]] *)
   store : State_store.Snapshot.t;  (** frozen retention window *)
-  compacted : Tree.t;  (** canonical tombstone-free form of the state *)
-  compact_stats : stats;
   alloc_issued : int array;
       (** ephemeral-id cursors: final meld, premeld threads 1..t, group
           meld — in {!Pipeline}'s thread-id order *)
@@ -55,4 +54,4 @@ val capture :
     this.  Copies its mutable inputs. *)
 
 val state : t -> Tree.t
-(** The exact (uncompacted) newest retained state. *)
+(** The exact newest retained state. *)

@@ -38,12 +38,14 @@ exception
    node is a single [Node.pack] — no options, tuples or [caml_equal] per
    visit.  The workers below are top-level functions over one [env] record
    so a meld call allocates exactly one block of bookkeeping; the happy
-   path then allocates only the ephemeral nodes themselves and their
-   fresh VNs. *)
+   path then allocates only the ephemeral nodes themselves, one block
+   each: a fresh VN is the packed words [(thread, seq)] plus the
+   [vn_ephemeral] class bit, never a boxed [Vn.t]. *)
 
 type env = {
   counters : Counters.stage;
   alloc : Vn.Alloc.t;
+  thread : int;  (** [Vn.Alloc.thread alloc]: every fresh vn's [vn_a] *)
   (* Owner bits of the melding members: [b0]/[b1] cover the common
      one-intention and group-pair shapes with straight compares ([b1 = b0]
      for a singleton); [more] holds any further members (empty in
@@ -75,9 +77,14 @@ let[@inline] visit env =
   env.counters.Counters.nodes_visited <-
     env.counters.Counters.nodes_visited + 1
 
+(* The [seq] of a fresh ephemeral VN [(env.thread, seq)]. *)
 let[@inline] fresh env =
   env.counters.Counters.ephemerals <- env.counters.Counters.ephemerals + 1;
-  Vn.Alloc.next env.alloc
+  Vn.Alloc.next_seq env.alloc
+
+(* Class bits of a node with a fresh (ephemeral) vn whose cv is copied
+   from the node with meta [m]. *)
+let[@inline] eph_cv m = Meta.vn_ephemeral lor (m land Meta.cv_ephemeral)
 
 (* A node's ssv doubles as the graft precondition: "this subtree equals
    version ssv plus my own changes".  A copy made on a SPLIT PATH holds
@@ -92,138 +99,137 @@ let[@inline] fresh env =
 
 (* Ephemeral copy of a state-side (or snapshot) node with new children. *)
 let eph_of_state env ~restructured (nl : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
+  let cvb = eph_cv nl.meta in
   if not env.transaction_mode then
-    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-      ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn_a:env.thread
+      ~vn_b:seq ~cv_a:nl.cv_a ~cv_b:nl.cv_b ~meta:cvb ~ssv_a:0 ~ssv_b:0
+      ~scv_a:0 ~scv_b:0
   else if env.state_is_intention && inside_meta env nl.meta then begin
     (* mine: keep snapshot-relative metadata, new owner *)
-    let m = env.out_bits lor (nl.meta land Meta.flags_mask) in
+    let m = env.out_bits lor cvb lor (nl.meta land Meta.flags_mask) in
     if
       nl.meta land Meta.ssv_present <> 0
       && (restructured || env.state_is_intention)
     then
-      Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
+      Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn_a:env.thread
+        ~vn_b:seq ~cv_a:nl.cv_a ~cv_b:nl.cv_b
         ~meta:(m lor Meta.ssv_ephemeral)
-        ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:nl.scv_a
-        ~scv_b:nl.scv_b
+        ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.scv_a ~scv_b:nl.scv_b
     else
-      Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-        ~meta:m ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a
-        ~scv_b:nl.scv_b
+      Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn_a:env.thread
+        ~vn_b:seq ~cv_a:nl.cv_a ~cv_b:nl.cv_b ~meta:m ~ssv_a:nl.ssv_a
+        ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a ~scv_b:nl.scv_b
   end
   else if restructured || env.state_is_intention then
     (* snapshot node becomes the source, immediately degrafted *)
-    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
+    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn_a:env.thread
+      ~vn_b:seq ~cv_a:nl.cv_a ~cv_b:nl.cv_b
       ~meta:
-        (env.out_bits lor Meta.ssv_present lor Meta.ssv_ephemeral
-       lor Node.scv_class nl.cv)
-      ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:(Node.vn_a nl.cv)
-      ~scv_b:(Node.vn_b nl.cv)
+        (env.out_bits lor cvb lor Meta.ssv_present lor Meta.ssv_ephemeral
+        lor Meta.scv_of_cv nl.meta)
+      ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.cv_a ~scv_b:nl.cv_b
   else
-    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-      ~meta:(env.out_bits lor Node.ssv_class nl.vn lor Node.scv_class nl.cv)
-      ~ssv_a:(Node.vn_a nl.vn) ~ssv_b:(Node.vn_b nl.vn)
-      ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
+    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn_a:env.thread
+      ~vn_b:seq ~cv_a:nl.cv_a ~cv_b:nl.cv_b
+      ~meta:(env.out_bits lor cvb lor Meta.sources_of nl.meta)
+      ~ssv_a:nl.vn_a ~ssv_b:nl.vn_b ~scv_a:nl.cv_a ~scv_b:nl.cv_b
 
 (* Ephemeral copy of an intention-side node whose conflict checks have not
    happened yet (restructuring around a concurrent insert): metadata and
    ownership must survive so the checks still fire deeper in the merge. *)
 let eph_of_intention env ~restructured (ni : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
+  let m = ni.meta lor Meta.vn_ephemeral in
   if
     ni.meta land Meta.ssv_present <> 0
     && (restructured || env.state_is_intention)
   then
-    Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn ~cv:ni.cv
-      ~meta:(ni.meta lor Meta.ssv_ephemeral)
-      ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:ni.scv_a
-      ~scv_b:ni.scv_b
+    Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn_a:env.thread
+      ~vn_b:seq ~cv_a:ni.cv_a ~cv_b:ni.cv_b
+      ~meta:(m lor Meta.ssv_ephemeral)
+      ~ssv_a:env.thread ~ssv_b:seq ~scv_a:ni.scv_a ~scv_b:ni.scv_b
   else
-    Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn ~cv:ni.cv
-      ~meta:ni.meta ~ssv_a:ni.ssv_a ~ssv_b:ni.ssv_b ~scv_a:ni.scv_a
-      ~scv_b:ni.scv_b
+    Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn_a:env.thread
+      ~vn_b:seq ~cv_a:ni.cv_a ~cv_b:ni.cv_b ~meta:m ~ssv_a:ni.ssv_a
+      ~ssv_b:ni.ssv_b ~scv_a:ni.scv_a ~scv_b:ni.scv_b
+
+(* Does the state side speak for a merged node's source metadata?  [mi]
+   is the intention node's meta word.  Shared by [merged_node] and
+   [merged_node_v]. *)
+let meta_from_state env ~mi (nl : node) ~nl_mine =
+  if not env.state_is_intention then true (* premeld: refresh vs LCS *)
+  else begin
+    let ni_dep = mi land Meta.dependent_mask <> 0 in
+    let nl_dep = nl_mine && nl.meta land Meta.dependent_mask <> 0 in
+    if ni_dep && nl_dep then env.state_snapshot <= env.intention_snapshot
+    else if nl_dep then true
+    else if ni_dep then false
+    else nl_mine
+  end
 
 (* Merged node for a key present on both sides, after conflict checks.
    The source metadata (ssv/scv) — and, for unaltered nodes, the payload
    it must stay consistent with — comes from whichever side speaks for the
    earlier history. *)
 let merged_node env (ni : node) (nl : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
   if not env.transaction_mode then begin
-    if ni.meta land Meta.altered <> 0 then
-      Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn ~cv:ni.cv
-        ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
-    else
-      Node.pack ~key:ni.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-        ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+    let src = if ni.meta land Meta.altered <> 0 then ni else nl in
+    Node.pack ~key:ni.key ~payload:src.payload ~left ~right ~vn_a:env.thread
+      ~vn_b:seq ~cv_a:src.cv_a ~cv_b:src.cv_b ~meta:(eph_cv src.meta)
+      ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
   end
   else begin
     let nl_mine = env.state_is_intention && inside_meta env nl.meta in
-    let meta_from_state =
-      if not env.state_is_intention then true (* premeld: refresh vs LCS *)
-      else begin
-        let ni_dep = ni.meta land Meta.dependent_mask <> 0 in
-        let nl_dep = nl_mine && nl.meta land Meta.dependent_mask <> 0 in
-        if ni_dep && nl_dep then env.state_snapshot <= env.intention_snapshot
-        else if nl_dep then true
-        else if ni_dep then false
-        else nl_mine
-      end
-    in
+    let meta_from_state = meta_from_state env ~mi:ni.meta nl ~nl_mine in
     let dep =
       ni.meta land Meta.dependent_mask
       lor if nl_mine then nl.meta land Meta.dependent_mask else 0
     in
     let ni_w = ni.meta land Meta.altered <> 0 in
     let nl_w = nl_mine && nl.meta land Meta.altered <> 0 in
-    let payload =
-      if ni_w then ni.payload
-      else if nl_w || meta_from_state then nl.payload
-      else ni.payload
-    in
-    let cv =
-      if ni_w then ni.cv
-      else if nl_w || meta_from_state then nl.cv
-      else ni.cv
-    in
+    (* payload and cv come from the same side *)
+    let src = if ni_w then ni else if nl_w || meta_from_state then nl else ni in
+    let payload = src.payload and cv_a = src.cv_a and cv_b = src.cv_b in
+    let out = env.out_bits lor dep lor eph_cv src.meta in
     (* degraft created nodes under group meld *)
     if meta_from_state then
       if nl_mine then begin
-        let m = env.out_bits lor dep lor (nl.meta land Meta.source_mask) in
+        let m = out lor (nl.meta land Meta.source_mask) in
         if env.state_is_intention && nl.meta land Meta.ssv_present <> 0 then
-          Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
+          Node.pack ~key:ni.key ~payload ~left ~right ~vn_a:env.thread
+            ~vn_b:seq ~cv_a ~cv_b
             ~meta:(m lor Meta.ssv_ephemeral)
-            ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:nl.scv_a
-            ~scv_b:nl.scv_b
+            ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.scv_a ~scv_b:nl.scv_b
         else
-          Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv ~meta:m
-            ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a ~scv_b:nl.scv_b
+          Node.pack ~key:ni.key ~payload ~left ~right ~vn_a:env.thread
+            ~vn_b:seq ~cv_a ~cv_b ~meta:m ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b
+            ~scv_a:nl.scv_a ~scv_b:nl.scv_b
       end
       else if env.state_is_intention then
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
+        Node.pack ~key:ni.key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq
+          ~cv_a ~cv_b
           ~meta:
-            (env.out_bits lor dep lor Meta.ssv_present lor Meta.ssv_ephemeral
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn)
-          ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
+            (out lor Meta.ssv_present lor Meta.ssv_ephemeral
+            lor Meta.scv_of_cv nl.meta)
+          ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.cv_a ~scv_b:nl.cv_b
       else
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
-          ~meta:
-            (env.out_bits lor dep lor Node.ssv_class nl.vn
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a nl.vn) ~ssv_b:(Node.vn_b nl.vn)
-          ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
+        Node.pack ~key:ni.key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq
+          ~cv_a ~cv_b
+          ~meta:(out lor Meta.sources_of nl.meta)
+          ~ssv_a:nl.vn_a ~ssv_b:nl.vn_b ~scv_a:nl.cv_a ~scv_b:nl.cv_b
     else begin
-      let m = env.out_bits lor dep lor (ni.meta land Meta.source_mask) in
+      let m = out lor (ni.meta land Meta.source_mask) in
       if env.state_is_intention && ni.meta land Meta.ssv_present <> 0 then
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
+        Node.pack ~key:ni.key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq
+          ~cv_a ~cv_b
           ~meta:(m lor Meta.ssv_ephemeral)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:ni.scv_a
-          ~scv_b:ni.scv_b
+          ~ssv_a:env.thread ~ssv_b:seq ~scv_a:ni.scv_a ~scv_b:ni.scv_b
       else
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv ~meta:m
-          ~ssv_a:ni.ssv_a ~ssv_b:ni.ssv_b ~scv_a:ni.scv_a ~scv_b:ni.scv_b
+        Node.pack ~key:ni.key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq
+          ~cv_a ~cv_b ~meta:m ~ssv_a:ni.ssv_a ~ssv_b:ni.ssv_b ~scv_a:ni.scv_a
+          ~scv_b:ni.scv_b
     end
   end
 
@@ -296,7 +302,7 @@ let check_node env (ni : node) (nl : node) =
           raise
             (Corrupt_intention
                (Printf.sprintf "node %d has ssv but no scv" ni.key));
-        if not (Node.scv_equals ni nl.cv) then
+        if not (Node.scv_is_cv ni nl) then
           raise
             (Abort
                (if ni.meta land Meta.altered <> 0 then Write_conflict ni.key
@@ -334,7 +340,7 @@ let rec go env i l =
   else begin
     let ni = i and nl = l in
     visit env;
-        if Node.ssv_equals ni nl.vn then begin
+        if Node.ssv_is_vn ni nl then begin
           (* Graft fast path: the version this subtree was derived from
              is still current — nothing concurrent happened below. *)
           env.counters.Counters.grafts <- env.counters.Counters.grafts + 1;
@@ -384,7 +390,8 @@ let rec go env i l =
                       (match Node.ssv ni with
                       | Some v -> Vn.to_string v
                       | None -> "-")
-                      (Node.owner ni) (Node.altered ni) (Vn.to_string ni.vn)
+                      (Node.owner ni) (Node.altered ni)
+                      (Vn.to_string (Node.vn ni))
                       (if env.transaction_mode then "txn" else "final")));
             let ll, lr = split_state env l ni.key in
             let left = go env ni.left ll in
@@ -432,102 +439,99 @@ let kid_tree env v c =
   else View.ref_of v c
 
 (* Ephemeral copy of view node [j] with new children ([eph_of_intention]
-   over the packed wire words). *)
+   over the packed wire words).  A view node's cv is its own logged vn
+   when altered, else its scv, whose class [View.meta] carries. *)
 let eph_of_intention_v env v j ~restructured ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
   let mi = View.meta v j in
   let key = View.key v j in
   let payload = View.payload v j in
-  let cv = View.cv v j in
   let ssv_a, ssv_b, scv_a, scv_b = View.sources v j in
+  let altered = mi land Meta.altered <> 0 in
+  let cv_a = if altered then View.pos v else scv_a in
+  let cv_b = if altered then j else scv_b in
+  let m = mi lor Meta.vn_ephemeral in
   if
     mi land Meta.ssv_present <> 0 && (restructured || env.state_is_intention)
   then
-    Node.pack ~key ~payload ~left ~right ~vn ~cv
-      ~meta:(mi lor Meta.ssv_ephemeral)
-      ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a ~scv_b
+    Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq ~cv_a
+      ~cv_b
+      ~meta:(m lor Meta.ssv_ephemeral)
+      ~ssv_a:env.thread ~ssv_b:seq ~scv_a ~scv_b
   else
-    Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta:mi ~ssv_a ~ssv_b ~scv_a
-      ~scv_b
+    Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq ~cv_a
+      ~cv_b ~meta:m ~ssv_a ~ssv_b ~scv_a ~scv_b
 
 (* [merged_node] with the intention side read from the view. *)
 let merged_node_v env v j (nl : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
   let mi = View.meta v j in
   let key = View.key v j in
+  let ni_w = mi land Meta.altered <> 0 in
   if not env.transaction_mode then begin
-    if mi land Meta.altered <> 0 then
-      Node.pack ~key ~payload:(View.payload v j) ~left ~right ~vn
-        ~cv:(View.cv v j) ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+    if ni_w then
+      Node.pack ~key ~payload:(View.payload v j) ~left ~right ~vn_a:env.thread
+        ~vn_b:seq ~cv_a:(View.pos v) ~cv_b:j ~meta:Meta.vn_ephemeral ~ssv_a:0
+        ~ssv_b:0 ~scv_a:0 ~scv_b:0
     else
-      Node.pack ~key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv ~meta:0
+      Node.pack ~key ~payload:nl.payload ~left ~right ~vn_a:env.thread
+        ~vn_b:seq ~cv_a:nl.cv_a ~cv_b:nl.cv_b ~meta:(eph_cv nl.meta)
         ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
   end
   else begin
     let nl_mine = env.state_is_intention && inside_meta env nl.meta in
-    let meta_from_state =
-      if not env.state_is_intention then true
-      else begin
-        let ni_dep = mi land Meta.dependent_mask <> 0 in
-        let nl_dep = nl_mine && nl.meta land Meta.dependent_mask <> 0 in
-        if ni_dep && nl_dep then env.state_snapshot <= env.intention_snapshot
-        else if nl_dep then true
-        else if ni_dep then false
-        else nl_mine
-      end
-    in
+    let meta_from_state = meta_from_state env ~mi nl ~nl_mine in
     let dep =
       mi land Meta.dependent_mask
       lor if nl_mine then nl.meta land Meta.dependent_mask else 0
     in
-    let ni_w = mi land Meta.altered <> 0 in
     let nl_w = nl_mine && nl.meta land Meta.altered <> 0 in
-    let payload =
-      if ni_w then View.payload v j
-      else if nl_w || meta_from_state then nl.payload
-      else View.payload v j
+    let ssv_a, ssv_b, scv_a, scv_b = View.sources v j in
+    (* payload and cv come from the same side *)
+    let from_nl = (not ni_w) && (nl_w || meta_from_state) in
+    let payload = if from_nl then nl.payload else View.payload v j in
+    let cv_a =
+      if from_nl then nl.cv_a else if ni_w then View.pos v else scv_a
     in
-    let cv =
-      if ni_w then View.cv v j
-      else if nl_w || meta_from_state then nl.cv
-      else View.cv v j
+    let cv_b = if from_nl then nl.cv_b else if ni_w then j else scv_b in
+    let out =
+      env.out_bits lor dep lor eph_cv (if from_nl then nl.meta else mi)
     in
     if meta_from_state then
       if nl_mine then begin
-        let m = env.out_bits lor dep lor (nl.meta land Meta.source_mask) in
+        let m = out lor (nl.meta land Meta.source_mask) in
         if env.state_is_intention && nl.meta land Meta.ssv_present <> 0 then
-          Node.pack ~key ~payload ~left ~right ~vn ~cv
+          Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq
+            ~cv_a ~cv_b
             ~meta:(m lor Meta.ssv_ephemeral)
-            ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:nl.scv_a
-            ~scv_b:nl.scv_b
+            ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.scv_a ~scv_b:nl.scv_b
         else
-          Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta:m ~ssv_a:nl.ssv_a
-            ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a ~scv_b:nl.scv_b
+          Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq
+            ~cv_a ~cv_b ~meta:m ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b
+            ~scv_a:nl.scv_a ~scv_b:nl.scv_b
       end
       else if env.state_is_intention then
-        Node.pack ~key ~payload ~left ~right ~vn ~cv
+        Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq ~cv_a
+          ~cv_b
           ~meta:
-            (env.out_bits lor dep lor Meta.ssv_present lor Meta.ssv_ephemeral
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:(Node.vn_a nl.cv)
-          ~scv_b:(Node.vn_b nl.cv)
+            (out lor Meta.ssv_present lor Meta.ssv_ephemeral
+            lor Meta.scv_of_cv nl.meta)
+          ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.cv_a ~scv_b:nl.cv_b
       else
-        Node.pack ~key ~payload ~left ~right ~vn ~cv
-          ~meta:
-            (env.out_bits lor dep lor Node.ssv_class nl.vn
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a nl.vn) ~ssv_b:(Node.vn_b nl.vn)
-          ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
+        Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq ~cv_a
+          ~cv_b
+          ~meta:(out lor Meta.sources_of nl.meta)
+          ~ssv_a:nl.vn_a ~ssv_b:nl.vn_b ~scv_a:nl.cv_a ~scv_b:nl.cv_b
     else begin
-      let m = env.out_bits lor dep lor (mi land Meta.source_mask) in
-      let ssv_a, ssv_b, scv_a, scv_b = View.sources v j in
+      let m = out lor (mi land Meta.source_mask) in
       if env.state_is_intention && mi land Meta.ssv_present <> 0 then
-        Node.pack ~key ~payload ~left ~right ~vn ~cv
+        Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq ~cv_a
+          ~cv_b
           ~meta:(m lor Meta.ssv_ephemeral)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a ~scv_b
+          ~ssv_a:env.thread ~ssv_b:seq ~scv_a ~scv_b
       else
-        Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta:m ~ssv_a ~ssv_b
-          ~scv_a ~scv_b
+        Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq ~cv_a
+          ~cv_b ~meta:m ~ssv_a ~ssv_b ~scv_a ~scv_b
     end
   end
 
@@ -554,7 +558,7 @@ let check_node_v env v j (nl : node) =
           raise
             (Corrupt_intention
                (Printf.sprintf "node %d has ssv but no scv" key));
-        if not (View.scv_equals v j nl.cv) then
+        if not (View.scv_is_cv v j nl) then
           raise
             (Abort
                (if mi land Meta.altered <> 0 then Write_conflict key
@@ -583,7 +587,7 @@ and go_v env v j l =
   if l == empty then (matz env v j, true)
   else begin
     visit env;
-    if View.ssv_equals v j l.vn then begin
+    if View.ssv_is_vn v j l then begin
       env.counters.Counters.grafts <- env.counters.Counters.grafts + 1;
       if View.meta v j land Meta.has_writes <> 0 then (matz env v j, true)
       else if env.transaction_mode then (matz env v j, true)
@@ -691,6 +695,7 @@ let meld ~mode ?(state_is_intention = false) ?(intention_snapshot = 0)
     {
       counters;
       alloc;
+      thread = Vn.Alloc.thread alloc;
       b0;
       b1;
       more;

@@ -356,7 +356,7 @@ let cached_resolver t : Codec.resolver =
   fun ~snapshot ~key ~vn ->
     let from_state =
       let tree = fallback ~snapshot ~key ~vn in
-      if (not (Node.is_empty tree)) && Vn.equal tree.Node.vn vn then Some tree
+      if (not (Node.is_empty tree)) && Node.vn_equals tree vn then Some tree
       else
         (* wrong version (or absent): the state at [snapshot] no longer
            holds this node — only the cache can still name it *)

@@ -1,13 +1,16 @@
-(* Per-node OCC metadata lives in one immediate int ([meta]) plus four
-   plain int words for the source-version payloads, so the meld hot loops
-   test flags with masks instead of option allocation + caml_equal.  See
-   node.mli and DESIGN.md §11 for the layout.
+(* A node is ONE heap block: key, payload, children and every per-node
+   version and OCC flag, as immediate ints.  Its own [vn]/[cv] and its
+   ssv/scv are each two plain int words; which of them are present and
+   which are ephemeral lives in [meta] beside the access flags, so the
+   meld hot loops test metadata with masks and compare versions word by
+   word — no option, no boxed [Vn.t], no [caml_equal].  See node.mli
+   and DESIGN.md §11 for the layout.
 
    The empty tree is a statically-allocated sentinel node ([empty],
    self-referential children) rather than a variant constructor: child
-   links point straight at node records, so constructing an ephemeral
-   node is ONE 12-word block — no per-node [Node of node] wrapper — and
-   traversal follows one pointer per child instead of two. *)
+   links point straight at node records, so constructing a node is one
+   14-word block — no [Node of node] wrapper, no version boxes — and
+   traversal follows one pointer per child. *)
 
 type tree = node
 
@@ -16,8 +19,10 @@ and node = {
   payload : Payload.t;
   left : tree;
   right : tree;
-  vn : Vn.t;
-  cv : Vn.t;
+  vn_a : int;
+  vn_b : int;
+  cv_a : int;
+  cv_b : int;
   meta : int;
   ssv_a : int;
   ssv_b : int;
@@ -39,6 +44,8 @@ module Meta = struct
   let ssv_ephemeral = 0x20
   let scv_present = 0x40
   let scv_ephemeral = 0x80
+  let vn_ephemeral = 0x100
+  let cv_ephemeral = 0x200
   let flags_mask = 0xff
 
   let dependent_mask = altered lor dep_content lor dep_structure
@@ -48,9 +55,16 @@ module Meta = struct
      but [has_writes], which is recomputed against the new owner. *)
   let carry_mask = flags_mask land lnot has_writes
 
+  (* The source bits of a copy whose source is the node with meta [m]:
+     ssv := its vn, scv := its cv.  The vn/cv class bits sit exactly
+     three and two places above the ssv/scv class bits. *)
+  let[@inline] ssv_of_vn m = ssv_present lor ((m lsr 3) land ssv_ephemeral)
+  let[@inline] scv_of_cv m = scv_present lor ((m lsr 2) land scv_ephemeral)
+  let[@inline] sources_of m = ssv_of_vn m lor scv_of_cv m
+
   (* Owner (a log position, or [state_owner]) in the bits above the flags,
      biased by one so state nodes have zero owner bits. *)
-  let owner_shift = 8
+  let owner_shift = 10
   let owner_mask = -1 lsl owner_shift
   let owner_bits owner = (owner + 1) lsl owner_shift
   let owner_of meta = (meta asr owner_shift) - 1
@@ -70,8 +84,10 @@ let rec empty =
     payload = Payload.tombstone;
     left = empty;
     right = empty;
-    vn = Vn.logged ~pos:min_int ~idx:0;
-    cv = Vn.logged ~pos:min_int ~idx:0;
+    vn_a = min_int;
+    vn_b = 0;
+    cv_a = min_int;
+    cv_b = 0;
     meta = 0;
     ssv_a = 0;
     ssv_b = 0;
@@ -82,11 +98,11 @@ let rec empty =
 let[@inline] is_empty t = t == empty
 
 (* Low-level constructor over the packed representation.  [meta] supplies
-   the flag and owner bits; the [has_writes] bit is recomputed here from
-   the other bits and the same-owner children, so callers never carry it
-   across structural edits. *)
-let pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
-    =
+   the flag, class and owner bits; the [has_writes] bit is recomputed here
+   from the other bits and the same-owner children, so callers never carry
+   it across structural edits. *)
+let pack ~key ~payload ~left ~right ~vn_a ~vn_b ~cv_a ~cv_b ~meta ~ssv_a
+    ~ssv_b ~scv_a ~scv_b =
   let obh = (meta land Meta.owner_mask) lor Meta.has_writes in
   let hw =
     meta land Meta.altered <> 0
@@ -97,7 +113,21 @@ let pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
   let meta =
     if hw then meta lor Meta.has_writes else meta land lnot Meta.has_writes
   in
-  { key; payload; left; right; vn; cv; meta; ssv_a; ssv_b; scv_a; scv_b }
+  {
+    key;
+    payload;
+    left;
+    right;
+    vn_a;
+    vn_b;
+    cv_a;
+    cv_b;
+    meta;
+    ssv_a;
+    ssv_b;
+    scv_a;
+    scv_b;
+  }
 
 (* Flag accessors. *)
 let owner n = Meta.owner_of n.meta
@@ -108,91 +138,70 @@ let has_writes n = n.meta land Meta.has_writes <> 0
 let has_ssv n = n.meta land Meta.ssv_present <> 0
 let has_scv n = n.meta land Meta.scv_present <> 0
 
-(* Option views of the packed source versions — cold paths only (tests,
-   pretty-printing, reference checks); the hot loops use the [_equals]
-   tests below. *)
+(* Allocation-free version comparisons between nodes, the meld hot
+   path's graft and conflict tests: [ssv_is_vn n m] is [ssv n = Some (vn
+   m)], [scv_is_cv n m] is [scv n = Some (cv m)]. *)
+let ssv_is_vn n m =
+  n.meta land (Meta.ssv_present lor Meta.ssv_ephemeral) = Meta.ssv_of_vn m.meta
+  && n.ssv_a = m.vn_a && n.ssv_b = m.vn_b
+
+let scv_is_cv n m =
+  n.meta land (Meta.scv_present lor Meta.scv_ephemeral) = Meta.scv_of_cv m.meta
+  && n.scv_a = m.cv_a && n.scv_b = m.cv_b
+
+(* Boxed views — allocate; cold paths only (printing, corrupt-input
+   reports, the resolver API, tests). *)
+let version ~eph a b =
+  if eph then Vn.ephemeral ~thread:a ~seq:b else Vn.logged ~pos:a ~idx:b
+
+let vn n = version ~eph:(n.meta land Meta.vn_ephemeral <> 0) n.vn_a n.vn_b
+let cv n = version ~eph:(n.meta land Meta.cv_ephemeral <> 0) n.cv_a n.cv_b
+
 let ssv n =
   if n.meta land Meta.ssv_present = 0 then None
-  else if n.meta land Meta.ssv_ephemeral <> 0 then
-    Some (Vn.ephemeral ~thread:n.ssv_a ~seq:n.ssv_b)
-  else Some (Vn.logged ~pos:n.ssv_a ~idx:n.ssv_b)
+  else Some (version ~eph:(n.meta land Meta.ssv_ephemeral <> 0) n.ssv_a n.ssv_b)
 
 let scv n =
   if n.meta land Meta.scv_present = 0 then None
-  else if n.meta land Meta.scv_ephemeral <> 0 then
-    Some (Vn.ephemeral ~thread:n.scv_a ~seq:n.scv_b)
-  else Some (Vn.logged ~pos:n.scv_a ~idx:n.scv_b)
+  else Some (version ~eph:(n.meta land Meta.scv_ephemeral <> 0) n.scv_a n.scv_b)
 
-(* Allocation-free equality of a packed source version against a boxed
-   [Vn.t]; false when the source version is absent. *)
-let ssv_equals n (vn : Vn.t) =
-  match vn with
-  | Vn.Logged { pos; idx } ->
-      n.meta land (Meta.ssv_present lor Meta.ssv_ephemeral) = Meta.ssv_present
-      && n.ssv_a = pos && n.ssv_b = idx
-  | Vn.Ephemeral { thread; seq } ->
-      n.meta land (Meta.ssv_present lor Meta.ssv_ephemeral)
-      = Meta.ssv_present lor Meta.ssv_ephemeral
-      && n.ssv_a = thread && n.ssv_b = seq
+(* Allocation-free equality of the packed vn against a boxed [Vn.t]. *)
+let vn_equals n (x : Vn.t) =
+  let eph = n.meta land Meta.vn_ephemeral <> 0 in
+  match x with
+  | Vn.Logged { pos; idx } -> (not eph) && n.vn_a = pos && n.vn_b = idx
+  | Vn.Ephemeral { thread; seq } -> eph && n.vn_a = thread && n.vn_b = seq
 
-let scv_equals n (vn : Vn.t) =
-  match vn with
-  | Vn.Logged { pos; idx } ->
-      n.meta land (Meta.scv_present lor Meta.scv_ephemeral) = Meta.scv_present
-      && n.scv_a = pos && n.scv_b = idx
-  | Vn.Ephemeral { thread; seq } ->
-      n.meta land (Meta.scv_present lor Meta.scv_ephemeral)
-      = Meta.scv_present lor Meta.scv_ephemeral
-      && n.scv_a = thread && n.scv_b = seq
+(* Packed words and class flag of a boxed VN. *)
+let words = function
+  | Vn.Logged { pos; idx } -> (false, pos, idx)
+  | Vn.Ephemeral { thread; seq } -> (true, thread, seq)
 
-(* Packed-word views of a boxed VN: the payload words and the
-   presence/class bits for storing it as a source version.  Pure int
-   extraction — no allocation. *)
-let vn_a = function
-  | Vn.Logged { pos; _ } -> pos
-  | Vn.Ephemeral { thread; _ } -> thread
-
-let vn_b = function
-  | Vn.Logged { idx; _ } -> idx
-  | Vn.Ephemeral { seq; _ } -> seq
-
-let ssv_class = function
-  | Vn.Logged _ -> Meta.ssv_present
-  | Vn.Ephemeral _ -> Meta.ssv_present lor Meta.ssv_ephemeral
-
-let scv_class = function
-  | Vn.Logged _ -> Meta.scv_present
-  | Vn.Ephemeral _ -> Meta.scv_present lor Meta.scv_ephemeral
-
-(* Compatibility smart constructor over the unpacked field view; cold
-   paths (bulk load, checkpoint compaction, tests). *)
+(* Smart constructor over the boxed field view; cold paths (tests). *)
 let make ~key ~payload ~left ~right ~vn ~cv ~ssv ~scv ~altered
     ~depends_on_content ~depends_on_structure ~owner =
-  let meta = Meta.owner_bits owner in
-  let meta = if altered then meta lor Meta.altered else meta in
-  let meta = if depends_on_content then meta lor Meta.dep_content else meta in
+  let bit b m = if b then m else 0 in
+  let vn_eph, vn_a, vn_b = words vn and cv_eph, cv_a, cv_b = words cv in
+  let ssv_eph, ssv_a, ssv_b =
+    match ssv with None -> (false, 0, 0) | Some v -> words v
+  in
+  let scv_eph, scv_a, scv_b =
+    match scv with None -> (false, 0, 0) | Some v -> words v
+  in
   let meta =
-    if depends_on_structure then meta lor Meta.dep_structure else meta
+    Meta.owner_bits owner
+    lor bit altered Meta.altered
+    lor bit depends_on_content Meta.dep_content
+    lor bit depends_on_structure Meta.dep_structure
+    lor bit (Option.is_some ssv) Meta.ssv_present
+    lor bit ssv_eph Meta.ssv_ephemeral
+    lor bit (Option.is_some scv) Meta.scv_present
+    lor bit scv_eph Meta.scv_ephemeral
+    lor bit vn_eph Meta.vn_ephemeral
+    lor bit cv_eph Meta.cv_ephemeral
   in
-  let meta, ssv_a, ssv_b =
-    match ssv with
-    | None -> (meta, 0, 0)
-    | Some (Vn.Logged { pos; idx }) -> (meta lor Meta.ssv_present, pos, idx)
-    | Some (Vn.Ephemeral { thread; seq }) ->
-        (meta lor Meta.ssv_present lor Meta.ssv_ephemeral, thread, seq)
-  in
-  let meta, scv_a, scv_b =
-    match scv with
-    | None -> (meta, 0, 0)
-    | Some (Vn.Logged { pos; idx }) -> (meta lor Meta.scv_present, pos, idx)
-    | Some (Vn.Ephemeral { thread; seq }) ->
-        (meta lor Meta.scv_present lor Meta.scv_ephemeral, thread, seq)
-  in
-  pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
-
-let with_children n ~left ~right ~vn =
-  pack ~key:n.key ~payload:n.payload ~left ~right ~vn ~cv:n.cv ~meta:n.meta
-    ~ssv_a:n.ssv_a ~ssv_b:n.ssv_b ~scv_a:n.scv_a ~scv_b:n.scv_b
+  pack ~key ~payload ~left ~right ~vn_a ~vn_b ~cv_a ~cv_b ~meta ~ssv_a ~ssv_b
+    ~scv_a ~scv_b
 
 let rec size t = if t == empty then 0 else 1 + size t.left + size t.right
 
@@ -211,7 +220,7 @@ let pp fmt tree =
     else begin
       go (indent ^ "  ") t.right;
       Format.fprintf fmt "%s%a=%a vn=%a cv=%a%s%s%s own=%d@." indent Key.pp
-        t.key Payload.pp t.payload Vn.pp t.vn Vn.pp t.cv
+        t.key Payload.pp t.payload Vn.pp (vn t) Vn.pp (cv t)
         (if altered t then " W" else "")
         (if depends_on_content t then " Rc" else "")
         (if depends_on_structure t then " Rs" else "")

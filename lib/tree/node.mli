@@ -6,16 +6,16 @@
     Metadata per node (Section 2 / Appendix A of the paper, recast in the
     content-version formulation described in DESIGN.md):
 
-    - [vn]: this version's identity.
-    - [cv]: the {e content version} — the VN of the version that first
+    - vn: this version's identity.
+    - cv: the {e content version} — the VN of the version that first
       generated this node's payload.  Appendix A calls the same information
       SCV when talking about the source node; carrying it on every node
       makes the conflict rules uniform:  a dependent access of key [k]
-      conflicts iff the LCS's [cv] for [k] differs from the [scv] the
+      conflicts iff the LCS's cv for [k] differs from the scv the
       intention recorded.
     - ssv: source structure version — the VN of the same-key node in the
       state this node was derived from (absent for a fresh insert).
-    - scv: source content version — the [cv] of that same-key source node.
+    - scv: source content version — the cv of that same-key source node.
     - altered: the producing transaction changed the payload.
     - depends_on_content: the transaction read the payload and runs at an
       isolation level that validates reads (the paper's DependsOn flag).
@@ -33,31 +33,33 @@
 
     {2 Packed representation}
 
-    All of the above except [vn]/[cv] is packed into one immediate [int]
-    ([meta]) plus four plain int words, so the meld/premeld/group-meld hot
-    loops test metadata with masks — no option allocation, no [caml_equal]
-    — and constructing an ephemeral node allocates exactly one block:
+    A node is one 14-word heap block of immediates and pointers — no
+    boxed [Vn.t], no option — so the meld/premeld/group-meld hot loops
+    test metadata with masks and compare versions word by word, and
+    constructing a node allocates exactly one block:
 
+    - Each of the four versions is two plain int words: [(pos, idx)] of a
+      logged VN or [(thread, seq)] of an ephemeral one — [vn_a]/[vn_b],
+      [cv_a]/[cv_b], [ssv_a]/[ssv_b], [scv_a]/[scv_b].
     - [meta] bits 0..7 are flags (see {!Meta}; the low three equal the
-      wire codec's flag-byte bits), bits 8.. hold [owner + 1] so state
-      nodes ([owner = -1]) have zero owner bits.
-    - [ssv_a]/[ssv_b] hold the ssv's payload when the
-      {!Meta.ssv_present} bit is set: [(pos, idx)] of a logged VN, or
-      [(thread, seq)] of an ephemeral one ({!Meta.ssv_ephemeral} selects
-      which).  [scv_a]/[scv_b] likewise for the scv.
+      wire codec's flag-byte bits, the high four give ssv/scv presence
+      and class), bits 8..9 give the vn/cv class, and bits 10.. hold
+      [owner + 1] so state nodes ([owner = -1]) have zero owner bits.
+      Absent ssv/scv words are 0.
 
-    The packing is a pure re-encoding of the old record — the wire format
-    and all meld decisions are unchanged (DESIGN.md §11).
+    The packing is a pure re-encoding of the boxed record — the wire
+    format, [Tree.digest] text and all meld decisions are unchanged
+    (DESIGN.md §11).  {!vn}, {!cv}, {!ssv} and {!scv} rebuild boxed
+    versions for cold paths.
 
     {2 Sentinel empty}
 
     The empty tree is the statically-allocated sentinel {!empty} (its
     children point to itself) rather than a variant constructor: child
-    links reference node records directly, so an ephemeral node is one
-    12-word block with no [Node of node] wrapper, and traversals follow
-    one pointer per child.  Test emptiness with {!is_empty} (physical
-    equality); recursions must check it before touching children — the
-    sentinel's children are the sentinel itself. *)
+    links reference node records directly, so there is no [Node of node]
+    wrapper, and traversals follow one pointer per child.  Test emptiness
+    with {!is_empty} (physical equality); recursions must check it before
+    touching children — the sentinel's children are the sentinel itself. *)
 
 type tree = node
 
@@ -66,9 +68,11 @@ and node = {
   payload : Payload.t;
   left : tree;
   right : tree;
-  vn : Vn.t;
-  cv : Vn.t;
-  meta : int;  (** flag bits + biased owner; see {!Meta} *)
+  vn_a : int;  (** vn: [pos] if logged, [thread] if ephemeral *)
+  vn_b : int;  (** vn: [idx] if logged, [seq] if ephemeral *)
+  cv_a : int;
+  cv_b : int;
+  meta : int;  (** flag, class and biased owner bits; see {!Meta} *)
   ssv_a : int;
   ssv_b : int;
   scv_a : int;
@@ -105,7 +109,12 @@ module Meta : sig
 
   val scv_ephemeral : int  (** 0x80 *)
 
-  val flags_mask : int  (** 0xff *)
+  val vn_ephemeral : int  (** 0x100 — value class of [vn_a]/[vn_b] *)
+
+  val cv_ephemeral : int  (** 0x200 — value class of [cv_a]/[cv_b] *)
+
+  val flags_mask : int
+  (** 0xff: access, summary and ssv/scv bits (not the vn/cv classes). *)
 
   val dependent_mask : int
   (** [altered lor dep_content lor dep_structure]: non-zero meta
@@ -117,6 +126,17 @@ module Meta : sig
   val carry_mask : int
   (** Flag bits that survive an owner rewrite ([flags_mask] minus
       [has_writes]). *)
+
+  val ssv_of_vn : int -> int
+  (** [ssv_of_vn m]: the ssv presence + class bits of a copy whose ssv is
+      the vn of the node with meta [m]. *)
+
+  val scv_of_cv : int -> int
+  (** Likewise, the scv bits for the cv of the node with meta [m]. *)
+
+  val sources_of : int -> int
+  (** [ssv_of_vn m lor scv_of_cv m]: the node with meta [m] becomes the
+      source of a copy. *)
 
   val owner_shift : int
 
@@ -138,8 +158,10 @@ val pack :
   payload:Payload.t ->
   left:tree ->
   right:tree ->
-  vn:Vn.t ->
-  cv:Vn.t ->
+  vn_a:int ->
+  vn_b:int ->
+  cv_a:int ->
+  cv_b:int ->
   meta:int ->
   ssv_a:int ->
   ssv_b:int ->
@@ -147,8 +169,8 @@ val pack :
   scv_b:int ->
   node
 (** Low-level constructor over the packed representation: [meta] supplies
-    flag and owner bits, and the [has_writes] bit is recomputed from the
-    other bits and the same-owner children (any [has_writes] bit in the
+    flag, class and owner bits, and the [has_writes] bit is recomputed from
+    the other bits and the same-owner children (any [has_writes] bit in the
     given [meta] is ignored).  This is the hot-path constructor — one
     block allocated, no closures. *)
 
@@ -166,11 +188,8 @@ val make :
   depends_on_structure:bool ->
   owner:int ->
   node
-(** Smart constructor over the unpacked field view; computes [has_writes]
+(** Smart constructor over the boxed field view; computes [has_writes]
     from the fields and the same-owner children.  Cold paths only. *)
-
-val with_children : node -> left:tree -> right:tree -> vn:Vn.t -> node
-(** Copy-on-write: same key/payload/metadata, new children and identity. *)
 
 (** {2 Metadata accessors} *)
 
@@ -182,27 +201,28 @@ val has_writes : node -> bool
 val has_ssv : node -> bool
 val has_scv : node -> bool
 
+(** {2 Version comparisons}
+
+    All allocation-free. *)
+
+val ssv_is_vn : node -> node -> bool
+(** [ssv_is_vn n m] ⇔ [ssv n = Some (vn m)]: the graft test. *)
+
+val scv_is_cv : node -> node -> bool
+(** [scv_is_cv n m] ⇔ [scv n = Some (cv m)]: the content-conflict test. *)
+
+val vn_equals : node -> Vn.t -> bool
+(** [vn n] equals the boxed version (resolver checks). *)
+
+(** {2 Boxed views}
+
+    Each call allocates; cold paths only (printing, corrupt-input
+    reports, the resolver API, tests). *)
+
+val vn : node -> Vn.t
+val cv : node -> Vn.t
 val ssv : node -> Vn.t option
-(** Option view of the packed ssv — allocates; cold paths only. *)
-
 val scv : node -> Vn.t option
-
-val ssv_equals : node -> Vn.t -> bool
-(** Allocation-free [ssv n = Some vn]; false when the ssv is absent. *)
-
-val scv_equals : node -> Vn.t -> bool
-
-(** {2 Packed-word views of a boxed VN}
-
-    For storing a [Vn.t] as a source version without allocating:
-    [vn_a]/[vn_b] extract the two payload words ([pos]/[idx] of a logged
-    VN, [thread]/[seq] of an ephemeral one); [ssv_class]/[scv_class] give
-    the matching presence + value-class meta bits. *)
-
-val vn_a : Vn.t -> int
-val vn_b : Vn.t -> int
-val ssv_class : Vn.t -> int
-val scv_class : Vn.t -> int
 
 val size : tree -> int
 (** Total nodes (including tombstones). *)

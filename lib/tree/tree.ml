@@ -81,22 +81,53 @@ let to_alist t =
 (* A new draft node derived from [old]: a node already owned by this
    intention keeps its snapshot-relative metadata (flags and packed
    source versions); a snapshot node becomes the source — ssv := its vn,
-   scv := its cv, access flags cleared.  Both arms are single packed
-   constructions, no option or tuple allocation. *)
+   scv := its cv, access flags cleared.  Every copy takes the identity
+   [fresh ()], unpacked into its words and class bit: [fresh_node] keeps
+   the given cv, [fresh_write] makes the copy its own content version
+   (cv := vn).  Each is one packed construction, no option or tuple. *)
+
+let fresh_node ~fresh ~key ~payload ~left ~right ~cv_a ~cv_b ~meta ~ssv_a
+    ~ssv_b ~scv_a ~scv_b =
+  let meta = meta land lnot Meta.vn_ephemeral in
+  match (fresh () : Vn.t) with
+  | Vn.Logged { pos; idx } ->
+      Node.pack ~key ~payload ~left ~right ~vn_a:pos ~vn_b:idx ~cv_a ~cv_b
+        ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
+  | Vn.Ephemeral { thread; seq } ->
+      Node.pack ~key ~payload ~left ~right ~vn_a:thread ~vn_b:seq ~cv_a ~cv_b
+        ~meta:(meta lor Meta.vn_ephemeral) ~ssv_a ~ssv_b ~scv_a ~scv_b
+
+let fresh_write ~fresh ~key ~payload ~left ~right ~meta ~ssv_a ~ssv_b ~scv_a
+    ~scv_b =
+  let meta = meta land lnot (Meta.vn_ephemeral lor Meta.cv_ephemeral) in
+  match (fresh () : Vn.t) with
+  | Vn.Logged { pos; idx } ->
+      Node.pack ~key ~payload ~left ~right ~vn_a:pos ~vn_b:idx ~cv_a:pos
+        ~cv_b:idx ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
+  | Vn.Ephemeral { thread; seq } ->
+      Node.pack ~key ~payload ~left ~right ~vn_a:thread ~vn_b:seq ~cv_a:thread
+        ~cv_b:seq
+        ~meta:(meta lor Meta.vn_ephemeral lor Meta.cv_ephemeral)
+        ~ssv_a ~ssv_b ~scv_a ~scv_b
+
+(* Copy of [n] with the extra [flags] and new children; same payload and
+   content version. *)
+let derive ~owner ~fresh (n : node) ~flags ~left ~right =
+  if Node.owner n = owner then
+    fresh_node ~fresh ~key:n.key ~payload:n.payload ~left ~right ~cv_a:n.cv_a
+      ~cv_b:n.cv_b ~meta:(n.meta lor flags) ~ssv_a:n.ssv_a ~ssv_b:n.ssv_b
+      ~scv_a:n.scv_a ~scv_b:n.scv_b
+  else
+    fresh_node ~fresh ~key:n.key ~payload:n.payload ~left ~right ~cv_a:n.cv_a
+      ~cv_b:n.cv_b
+      ~meta:
+        (Meta.owner_bits owner lor flags lor Meta.sources_of n.meta
+        lor (n.meta land Meta.cv_ephemeral))
+      ~ssv_a:n.vn_a ~ssv_b:n.vn_b ~scv_a:n.cv_a ~scv_b:n.cv_b
 
 (* Structural copy: same payload and access flags, new children. *)
-let copy ~owner ~fresh (old : node) ~left ~right =
-  if Node.owner old = owner then
-    Node.pack ~key:old.key ~payload:old.payload ~left ~right ~vn:(fresh ())
-      ~cv:old.cv ~meta:old.meta ~ssv_a:old.ssv_a ~ssv_b:old.ssv_b
-      ~scv_a:old.scv_a ~scv_b:old.scv_b
-  else
-    let meta =
-      Meta.owner_bits owner lor Node.ssv_class old.vn lor Node.scv_class old.cv
-    in
-    Node.pack ~key:old.key ~payload:old.payload ~left ~right ~vn:(fresh ())
-      ~cv:old.cv ~meta ~ssv_a:(Node.vn_a old.vn) ~ssv_b:(Node.vn_b old.vn)
-      ~scv_a:(Node.vn_a old.cv) ~scv_b:(Node.vn_b old.cv)
+let copy ~owner ~fresh old ~left ~right =
+  derive ~owner ~fresh old ~flags:0 ~left ~right
 
 (* Split a subtree around an absent key, copying the split path. *)
 let rec split t key ~owner ~fresh =
@@ -112,8 +143,7 @@ let rec split t key ~owner ~fresh =
 
 let upsert t ~owner ~fresh key payload =
   let fresh_insert ~left ~right =
-    let vn = fresh () in
-    Node.pack ~key ~payload ~left ~right ~vn ~cv:vn
+    fresh_write ~fresh ~key ~payload ~left ~right
       ~meta:(Meta.owner_bits owner lor Meta.altered)
       ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
   in
@@ -123,19 +153,16 @@ let upsert t ~owner ~fresh key payload =
       let c = Key.compare key t.key in
       if c = 0 then begin
         (* Payload update in place (copy-on-write). *)
-        let vn = fresh () in
         if Node.owner t = owner then
-          Node.pack ~key ~payload ~left:t.left ~right:t.right ~vn ~cv:vn
+          fresh_write ~fresh ~key ~payload ~left:t.left ~right:t.right
             ~meta:(t.meta lor Meta.altered)
             ~ssv_a:t.ssv_a ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
         else
-          let meta =
-            Meta.owner_bits owner lor Meta.altered lor Node.ssv_class t.vn
-            lor Node.scv_class t.cv
-          in
-          Node.pack ~key ~payload ~left:t.left ~right:t.right ~vn ~cv:vn ~meta
-            ~ssv_a:(Node.vn_a t.vn) ~ssv_b:(Node.vn_b t.vn)
-            ~scv_a:(Node.vn_a t.cv) ~scv_b:(Node.vn_b t.cv)
+          fresh_write ~fresh ~key ~payload ~left:t.left ~right:t.right
+            ~meta:
+              (Meta.owner_bits owner lor Meta.altered
+              lor Meta.sources_of t.meta)
+            ~ssv_a:t.vn_a ~ssv_b:t.vn_b ~scv_a:t.cv_a ~scv_b:t.cv_b
       end
       else if Key.priority_greater key t.key then begin
         (* The new key outranks this subtree's root: splice it here. *)
@@ -149,23 +176,11 @@ let upsert t ~owner ~fresh key payload =
 
 (* Mark the node (copying it) with extra dependency flags; keep payload. *)
 let mark ~owner ~fresh (n : node) ~content ~structure =
-  let extra =
+  let flags =
     (if content then Meta.dep_content else 0)
     lor if structure then Meta.dep_structure else 0
   in
-  if Node.owner n = owner then
-    Node.pack ~key:n.key ~payload:n.payload ~left:n.left ~right:n.right
-      ~vn:(fresh ()) ~cv:n.cv ~meta:(n.meta lor extra)
-      ~ssv_a:n.ssv_a ~ssv_b:n.ssv_b ~scv_a:n.scv_a ~scv_b:n.scv_b
-  else
-    let meta =
-      Meta.owner_bits owner lor extra lor Node.ssv_class n.vn
-      lor Node.scv_class n.cv
-    in
-    Node.pack ~key:n.key ~payload:n.payload ~left:n.left ~right:n.right
-      ~vn:(fresh ()) ~cv:n.cv ~meta
-      ~ssv_a:(Node.vn_a n.vn) ~ssv_b:(Node.vn_b n.vn)
-      ~scv_a:(Node.vn_a n.cv) ~scv_b:(Node.vn_b n.cv)
+  derive ~owner ~fresh n ~flags ~left:n.left ~right:n.right
 
 let touch_read t ~owner ~fresh key =
   (* Returns the rebuilt subtree, or physically the same subtree when no
@@ -278,31 +293,24 @@ let touch_range t ~owner ~fresh ~lo ~hi =
 (* Bootstrap                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let of_sorted_array items =
-  let n = Array.length items in
-  for i = 1 to n - 1 do
-    if Key.compare (fst items.(i - 1)) (fst items.(i)) >= 0 then
-      invalid_arg "Tree.of_sorted_array: keys must be strictly increasing"
-  done;
-  (* Canonical construction: the root of a segment is its
-     maximum-priority key.  Each priority is hashed once, the treap's
-     shape comes from the O(n) stack (Cartesian-tree) method, and nodes
-     are then allocated bottom-up in post order.  In-order index is the
-     genesis VN index. *)
+(* Canonical construction over [n] items with strictly increasing keys
+   [key i]: the root of a segment is its maximum-priority key.  Each
+   priority is hashed once, the treap's shape comes from the O(n) stack
+   (Cartesian-tree) method, and [node i ~left ~right] then builds the
+   nodes bottom-up in post order. *)
+let build_sorted n ~key ~node =
   let prio =
     (* top 63 bits of the unsigned 64-bit priority, sign-flipped so that
        signed int order is unsigned order; equal tops (which the stack
        pass then breaks with [Key.priority_greater]) are astronomically
        rare *)
-    Array.map
-      (fun (k, _) ->
-        Int64.to_int (Int64.shift_right_logical (Key.priority k) 1) lxor min_int)
-      items
+    Array.init n (fun i ->
+        Int64.to_int (Int64.shift_right_logical (Key.priority (key i)) 1)
+        lxor min_int)
   in
   let greater i j =
     let pi = prio.(i) and pj = prio.(j) in
-    if pi <> pj then pi > pj
-    else Key.priority_greater (fst items.(i)) (fst items.(j))
+    if pi <> pj then pi > pj else Key.priority_greater (key i) (key j)
   in
   let lchild = Array.make n (-1) and rchild = Array.make n (-1) in
   let stack = Array.make n 0 and top = ref 0 in
@@ -319,17 +327,28 @@ let of_sorted_array items =
   done;
   let rec build i =
     if i < 0 then empty
-    else begin
-      let key, payload = items.(i) in
+    else
       let left = build lchild.(i) in
       let right = build rchild.(i) in
-      let vn = Vn.genesis ~idx:i in
-      Node.make ~key ~payload ~left ~right ~vn ~cv:vn ~ssv:None ~scv:None
-        ~altered:false ~depends_on_content:false ~depends_on_structure:false
-        ~owner:state_owner
-    end
+      node i ~left ~right
   in
   if n = 0 then empty else build stack.(0)
+
+(* Genesis: state-owned nodes whose vn and cv are both [Vn.genesis ~idx]
+   with [idx] the in-order index. *)
+let of_sorted_array items =
+  let n = Array.length items in
+  for i = 1 to n - 1 do
+    if Key.compare (fst items.(i - 1)) (fst items.(i)) >= 0 then
+      invalid_arg "Tree.of_sorted_array: keys must be strictly increasing"
+  done;
+  build_sorted n
+    ~key:(fun i -> fst items.(i))
+    ~node:(fun i ~left ~right ->
+      let key, payload = items.(i) in
+      Node.pack ~key ~payload ~left ~right ~vn_a:(-1) ~vn_b:i ~cv_a:(-1)
+        ~cv_b:i ~meta:(Meta.owner_bits state_owner) ~ssv_a:0 ~ssv_b:0
+        ~scv_a:0 ~scv_b:0)
 
 (* ------------------------------------------------------------------ *)
 (* Validation and statistics                                           *)
@@ -395,18 +414,16 @@ let path_length t key =
    chaos harness compare whole-cluster convergence by fingerprint. *)
 let digest t =
   let b = Buffer.create 4096 in
-  let vn b v =
-    match (v : Vn.t) with
-    | Vn.Logged { pos; idx } -> Printf.bprintf b "L%d.%d" pos idx
-    | Vn.Ephemeral { thread; seq } -> Printf.bprintf b "E%d.%d" thread seq
+  let version b ~eph x y =
+    if eph then Printf.bprintf b "E%d.%d" x y else Printf.bprintf b "L%d.%d" x y
   in
-  let vn_opt b = function
-    | None -> Buffer.add_char b '-'
-    | Some v -> vn b v
+  let source b ~present ~eph x y =
+    if present then version b ~eph x y else Buffer.add_char b '-'
   in
   let rec go t =
     if t == empty then Buffer.add_char b '.'
     else begin
+      let m = t.meta in
       Buffer.add_char b '(';
       Printf.bprintf b "%d|" t.key;
       (match t.payload with
@@ -415,13 +432,19 @@ let digest t =
           Printf.bprintf b "V%d:" (String.length v);
           Buffer.add_string b v);
       Buffer.add_char b '|';
-      vn b t.vn;
+      version b ~eph:(m land Meta.vn_ephemeral <> 0) t.vn_a t.vn_b;
       Buffer.add_char b '|';
-      vn b t.cv;
+      version b ~eph:(m land Meta.cv_ephemeral <> 0) t.cv_a t.cv_b;
       Buffer.add_char b '|';
-      vn_opt b (Node.ssv t);
+      source b
+        ~present:(m land Meta.ssv_present <> 0)
+        ~eph:(m land Meta.ssv_ephemeral <> 0)
+        t.ssv_a t.ssv_b;
       Buffer.add_char b '|';
-      vn_opt b (Node.scv t);
+      source b
+        ~present:(m land Meta.scv_present <> 0)
+        ~eph:(m land Meta.scv_ephemeral <> 0)
+        t.scv_a t.scv_b;
       Printf.bprintf b "|%b%b%b|%d" (Node.altered t)
         (Node.depends_on_content t)
         (Node.depends_on_structure t)
@@ -434,13 +457,16 @@ let digest t =
   go t;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* The class bits live in [meta], so equal metas and equal words are
+   equal versions. *)
 let rec physically_equal a b =
   a == b
   || a != empty && b != empty
      && Key.equal a.key b.key
      && Payload.equal a.payload b.payload
-     && Vn.equal a.vn b.vn && Vn.equal a.cv b.cv
      && a.meta = b.meta
+     && a.vn_a = b.vn_a && a.vn_b = b.vn_b
+     && a.cv_a = b.cv_a && a.cv_b = b.cv_b
      && a.ssv_a = b.ssv_a && a.ssv_b = b.ssv_b
      && a.scv_a = b.scv_a && a.scv_b = b.scv_b
      && physically_equal a.left b.left

@@ -70,6 +70,14 @@ val of_sorted_array : (Key.t * Payload.t) array -> t
     state-owned with genesis VNs; every server calling this with the same
     array obtains a physically identical tree. *)
 
+val build_sorted :
+  int -> key:(int -> Key.t) -> node:(int -> left:t -> right:t -> t) -> t
+(** [build_sorted n ~key ~node] builds the canonical treap over items
+    [0 .. n-1], whose keys [key i] the caller guarantees strictly
+    increasing, in O(n): [node i ~left ~right] builds item [i]'s node
+    (in-order index [i]) once its subtrees exist.  The shape depends only
+    on the keys; {!of_sorted_array} and checkpoint compaction share it. *)
+
 (** {1 Validation and statistics (tests, benches)} *)
 
 val validate : t -> (unit, string) result

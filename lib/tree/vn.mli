@@ -34,14 +34,18 @@ val is_ephemeral : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Deterministic per-thread allocator for ephemeral VNs. *)
+(** Deterministic per-thread allocator for ephemeral VNs.  It hands out
+    bare sequence numbers: the id [Ephemeral { thread; seq }] is stored
+    packed in the node it names, never boxed. *)
 module Alloc : sig
-  type vn := t
   type t
 
   val create : thread:int -> t
   val thread : t -> int
-  val next : t -> vn
+
+  val next_seq : t -> int
+  (** The [seq] of the next id of this allocator's {!thread}. *)
+
   val issued : t -> int
   val reset : t -> unit
 

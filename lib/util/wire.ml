@@ -155,7 +155,20 @@ module Reader = struct
     done;
     !result
 
-  let varint t = Int64.to_int (varint64 t)
+  (* [Int64.to_int (varint64 t)] without the boxed [Int64]: bits 0..62
+     accumulate natively; a tenth byte could only add bit 63, which
+     [Int64.to_int] drops, so it is read and skipped ([lsl] by 63 is
+     unspecified on 63-bit ints).  Same bytes consumed, same [Truncated]. *)
+  let varint t =
+    let x = ref 0 and shift = ref 0 and continue = ref true in
+    while !continue do
+      if !shift > 63 then raise Truncated;
+      let b = u8 t in
+      if !shift < 63 then x := !x lor ((b land 0x7F) lsl !shift);
+      shift := !shift + 7;
+      if b land 0x80 = 0 then continue := false
+    done;
+    !x
 
   let bytes t =
     let len = varint t in

@@ -20,7 +20,8 @@ time.
 With --macro, gates a BENCH_MACRO.json run instead (see `make
 bench-macro`): every backend bit-identical to sequential, sane
 throughput, and — when a committed baseline is given via --baseline —
-no regression of the fm critical path.  The GC words/txn comparison is
+no regression of the fm critical path.  Every macro gate runs: the
+check prints each failure, then exits 1 if any gate failed.  The GC words/txn comparison is
 tight (the fm loop's minor allocation is deterministic, measured with
 the exact Gc.minor_words counter); the fm-ns/txn comparison is loose,
 because wall time on a shared CI box is not.
@@ -112,6 +113,11 @@ def load_rows(path: str, figure: str) -> dict:
 
 
 def check_macro(run_path: str, baseline_path: str | None) -> None:
+    # Every gate runs and reports; only a missing input that later gates
+    # need stops the check early.
+    failures = []
+    gate = failures.append
+
     rows = load_rows(run_path, "macro")
     if not rows:
         fail("no macro rows in the report (run `make bench-macro`?)")
@@ -121,11 +127,11 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
 
     for name, r in sorted(rows.items()):
         if r["same_as_seq"] is not True:
-            fail(f"{name}: results diverged from the sequential backend")
+            gate(f"{name}: results diverged from the sequential backend")
         if not r["melds_per_s"] > 0:
-            fail(f"{name}: no melds measured")
+            gate(f"{name}: no melds measured")
         if not r["fm_ns_per_txn"] > 0:
-            fail(f"{name}: fm critical path not measured")
+            gate(f"{name}: fm critical path not measured")
 
     # The fm loop's minor allocation per intention is backend-invariant
     # (same melds, same nodes); a spread here means the measurement or the
@@ -135,7 +141,7 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
     fm_minors = {n: r["gc_words_per_txn"]["fm_minor"] for n, r in rows.items()}
     lo, hi = min(fm_minors.values()), max(fm_minors.values())
     if lo <= 0 or hi > lo * 1.01:
-        fail(f"fm minor words/txn not backend-invariant: {fm_minors}")
+        gate(f"fm minor words/txn not backend-invariant: {fm_minors}")
 
     # Lazy-decode allocation budget: the view path must keep ds under
     # DS_MINOR_BUDGET minor words/txn (flyweight index arrays only).
@@ -143,9 +149,10 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
         if r.get("lazy_decode", False):
             ds = r["gc_words_per_txn"].get("ds_minor")
             if ds is None:
-                fail(f"{name}: lazy row is missing the ds_minor column")
+                gate(f"{name}: lazy row is missing the ds_minor column")
+                continue
             if not ds < DS_MINOR_BUDGET:
-                fail(f"{name}: ds minor words/txn {ds:.1f} not under the "
+                gate(f"{name}: ds minor words/txn {ds:.1f} not under the "
                      f"lazy-decode budget of {DS_MINOR_BUDGET:.0f}")
 
     msgs = []
@@ -159,7 +166,7 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
     cores = pipe.get("cores", 1)
     if cores >= 2:
         if not pipe["melds_per_s"] > seq["melds_per_s"]:
-            fail(f"pipe melds/s {pipe['melds_per_s']:.0f} does not beat "
+            gate(f"pipe melds/s {pipe['melds_per_s']:.0f} does not beat "
                  f"seq {seq['melds_per_s']:.0f} on a {cores}-core machine")
         msgs.append(f"pipe beats seq "
                     f"{pipe['melds_per_s'] / seq['melds_per_s']:.2f}x "
@@ -171,7 +178,7 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
         pipe_us = pipe["driver_critical_path_us"]
         seq_us = seq["driver_critical_path_us"]
         if not pipe_us < seq_us:
-            fail(f"1-core fallback: pipe driver critical path "
+            gate(f"1-core fallback: pipe driver critical path "
                  f"{pipe_us:.2f} us/txn is not below seq {seq_us:.2f}")
         msgs.append(f"1-core box: pipe driver critical path "
                     f"{seq_us:.2f} -> {pipe_us:.2f} us/txn "
@@ -182,13 +189,13 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
     if not h:
         fail("pipelined macro row carries no handoff stats")
     if h["batches"] <= 0 or h["items"] < h["batches"]:
-        fail(f"handoff accounting off: {h['batches']} publications "
+        gate(f"handoff accounting off: {h['batches']} publications "
              f"carrying {h['items']} items")
     # Worker parks woken <= job publications; driver parks woken <=
     # result publications (<= items).  Anything beyond that means the
     # doorbell counter double-books.
     if h["doorbell_wakeups"] > h["items"] + h["batches"]:
-        fail(f"doorbell wakeups {h['doorbell_wakeups']} exceed "
+        gate(f"doorbell wakeups {h['doorbell_wakeups']} exceed "
              f"publications+items {h['batches']}+{h['items']}")
     if "driver_minor_w_per_txn" not in pipe:
         fail("pipelined macro row carries no driver_minor_w_per_txn")
@@ -197,7 +204,7 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
                  ("ds_minor", "pm_minor", "gm_minor", "fm_minor", "mz_minor"))
     residual = pipe["driver_minor_w_per_txn"] - booked
     if residual > HANDOFF_RESIDUAL_BUDGET:
-        fail(f"driver handoff allocation {residual:.0f} minor words/txn "
+        gate(f"driver handoff allocation {residual:.0f} minor words/txn "
              f"over budget ({HANDOFF_RESIDUAL_BUDGET:.0f}): "
              f"driver {pipe['driver_minor_w_per_txn']:.0f} w/txn, "
              f"stage-booked {booked:.0f}")
@@ -213,18 +220,18 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
         eager_ds = eager["gc_words_per_txn"]["ds_minor"]
         alloc_ratio = eager_ds / seq_ds if seq_ds > 0 else float("inf")
         if alloc_ratio < DS_ALLOC_RATIO_MIN:
-            fail(f"lazy seq ds allocation is only {alloc_ratio:.1f}x below "
+            gate(f"lazy seq ds allocation is only {alloc_ratio:.1f}x below "
                  f"the eager reference ({seq_ds:.1f} vs {eager_ds:.1f} "
                  f"minor words/txn; need >= {DS_ALLOC_RATIO_MIN}x)")
         stage_ratio = eager["stage_us"]["ds"] / seq["stage_us"]["ds"]
         if stage_ratio < DS_STAGE_SPEEDUP_MIN:
-            fail(f"lazy seq ds stage is only {stage_ratio:.2f}x faster than "
+            gate(f"lazy seq ds stage is only {stage_ratio:.2f}x faster than "
                  f"the eager reference ({seq['stage_us']['ds']:.2f} vs "
                  f"{eager['stage_us']['ds']:.2f} us/txn; need "
                  f">= {DS_STAGE_SPEEDUP_MIN}x)")
         wall_ratio = seq["melds_per_s"] / eager["melds_per_s"]
         if wall_ratio < LAZY_WALL_PARITY_MIN:
-            fail(f"lazy seq regressed end-to-end: {wall_ratio:.2f}x the "
+            gate(f"lazy seq regressed end-to-end: {wall_ratio:.2f}x the "
                  f"eager reference ({seq['melds_per_s']:.0f} vs "
                  f"{eager['melds_per_s']:.0f} melds/s; need "
                  f">= {LAZY_WALL_PARITY_MIN}x)")
@@ -241,14 +248,14 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
             cur_gc = r["gc_words_per_txn"]["fm_minor"]
             base_gc = b["gc_words_per_txn"]["fm_minor"]
             if cur_gc > base_gc * GC_MINOR_TOLERANCE:
-                fail(f"{name}: fm minor words/txn regressed "
+                gate(f"{name}: fm minor words/txn regressed "
                      f"{base_gc:.1f} -> {cur_gc:.1f} "
                      f"(tolerance x{GC_MINOR_TOLERANCE})")
             cur_ns = r["fm_ns_per_txn"]
             base_ns = b["fm_ns_per_txn"]
             tol = FM_NS_TOLERANCE_SEQ if name == "seq" else FM_NS_TOLERANCE_MULTI
             if cur_ns > base_ns * tol:
-                fail(f"{name}: fm ns/txn regressed "
+                gate(f"{name}: fm ns/txn regressed "
                      f"{base_ns:.0f} -> {cur_ns:.0f} "
                      f"(tolerance x{tol})")
             msgs.append(f"{name} fm {cur_ns:.0f}ns/txn "
@@ -259,6 +266,12 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
                  f"{r['gc_words_per_txn']['fm_minor']:.1f}w/txn"
                  for n, r in sorted(rows.items())]
 
+    if failures:
+        for f in failures:
+            print(f"bench-macro gate: FAIL: {f}", file=sys.stderr)
+        print(f"bench-macro gate: {len(failures)} gate(s) failed; "
+              + "; ".join(msgs), file=sys.stderr)
+        sys.exit(1)
     print("bench-macro gate: OK: all backends bit-identical to sequential; "
           + "; ".join(msgs))
 

@@ -387,6 +387,36 @@ let prop_roundtrip =
       in
       Tree.physically_equal decoded.I.root (I.assign ~pos:11 draft).I.root)
 
+(* The unboxed zigzag reader behind [peek_snapshot] (and every key and
+   logged position the eager decoder reads) equals the 64-bit decode of
+   [Reader.varint64] on arbitrary bytes, malformed ones included. *)
+let prop_zint_matches_int64 =
+  QCheck2.Test.make ~name:"zigzag reader = Int64 reference" ~count:2000
+    QCheck2.Gen.(
+      map
+        (fun (bytes, last) ->
+          String.of_seq
+            (List.to_seq
+               (List.map (fun b -> Char.chr (b lor 0x80)) bytes
+               @ match last with Some b -> [ Char.chr b ] | None -> [])))
+        (pair (list_size (int_range 0 11) (int_bound 0x7f)) (opt (int_bound 0xff))))
+    (fun s ->
+      let reference =
+        match Hyder_util.Wire.Reader.varint64 (Hyder_util.Wire.Reader.of_string s) with
+        | u ->
+            Some
+              (Int64.to_int
+                 (Int64.logxor (Int64.shift_right_logical u 1)
+                    (Int64.neg (Int64.logand u 1L))))
+        | exception Hyder_util.Wire.Truncated -> None
+      in
+      let got =
+        match Codec.peek_snapshot s with
+        | v -> Some v
+        | exception Codec.Corrupt _ -> None
+      in
+      got = reference)
+
 let () =
   Alcotest.run "codec"
     [
@@ -424,5 +454,6 @@ let () =
             test_blocks_reassembly_errors;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_roundtrip; prop_zint_matches_int64 ] );
     ]

@@ -272,7 +272,7 @@ let test_checkpoint_compacts_tombstones () =
   (* content versions preserved so later conflict checks still work *)
   let before = Option.get (Tree.find state 30) in
   let after = Option.get (Tree.find compacted 30) in
-  check "cv preserved" true (Vn.equal before.Node.cv after.Node.cv)
+  check "cv preserved" true (Vn.equal (Node.cv before) (Node.cv after))
 
 let test_checkpoint_deterministic () =
   let module Local = Hyder_core.Local in
@@ -353,7 +353,7 @@ let test_meld_after_compaction_matches_original () =
   List.iter
     (fun (k, _) ->
       let a = Option.get (Tree.find ta k) and b = Option.get (Tree.find tb k) in
-      check "content versions equal" true (Vn.equal a.Node.cv b.Node.cv))
+      check "content versions equal" true (Vn.equal (Node.cv a) (Node.cv b)))
     (Tree.to_alist ta)
 
 (* --- oracle ---------------------------------------------------------------- *)

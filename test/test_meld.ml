@@ -247,6 +247,52 @@ let test_graft_fast_path () =
     (fm.Hyder_core.Counters.nodes_visited < 20 * Tree.depth (let _, _, t = Local.lcs h in t) * 2);
   check "grafts happened" true (fm.Hyder_core.Counters.grafts > 0)
 
+(* A final-meld ephemeral node is exactly one 14-word heap block: its
+   versions are immediate words, not boxed [Vn.t]s.  Two melds through
+   the same code path differ only in how many ephemerals they create, so
+   their minor-word difference must be 14 words per ephemeral. *)
+let test_fm_ephemeral_is_one_block () =
+  let genesis = Helpers.genesis ~gap:10 1000 in
+  let write ~pos k =
+    let e =
+      Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:genesis ~server:0
+        ~txn_seq:pos ~isolation:I.Serializable ()
+    in
+    Executor.write e k "x";
+    match Executor.finish e with
+    | Some d -> I.assign ~pos d
+    | None -> Alcotest.fail "expected a draft"
+  in
+  let fm (i : I.t) state =
+    let alloc = Vn.Alloc.create ~thread:0 in
+    let counters = Hyder_core.Counters.make_stage () in
+    let w0 = Gc.minor_words () in
+    let r =
+      Meld.meld ~mode:Meld.Final ~members:[ i.I.pos ] ~alloc ~counters
+        ~intention:i.I.root ~state ()
+    in
+    let w1 = Gc.minor_words () in
+    match r with
+    | Meld.Merged t ->
+        (t, int_of_float (w1 -. w0), counters.Hyder_core.Counters.ephemerals)
+    | Meld.Conflict _ -> Alcotest.fail "unexpected conflict"
+  in
+  (* onto its own snapshot: the graft fast path, no ephemerals *)
+  let lcs1, w_graft, e1 = fm (write ~pos:0 10) genesis in
+  check_int "graft creates no ephemerals" 0 e1;
+  (* onto a state that moved: ephemeral ancestors on the shared path *)
+  let lcs2, w, e = fm (write ~pos:1 9990) lcs1 in
+  check "ephemerals created" true (e > 0);
+  check_int "minor words = overhead + 14 per ephemeral" (w_graft + (14 * e)) w;
+  (* the root is one of them: one block of 13 fields, versions immediate *)
+  check "root is ephemeral" true
+    (Vn.equal (Node.vn lcs2) (Vn.ephemeral ~thread:0 ~seq:(e - 1)));
+  let r = Obj.repr lcs2 in
+  check_int "13 fields" 13 (Obj.size r);
+  for f = 4 to 12 do
+    check (Printf.sprintf "field %d immediate" f) true (Obj.is_int (Obj.field r f))
+  done
+
 (* --- state integrity ----------------------------------------------------- *)
 
 let test_lcs_matches_committed_history () =
@@ -314,6 +360,8 @@ let () =
         [
           Alcotest.test_case "ephemerals" `Quick test_ephemeral_nodes_created;
           Alcotest.test_case "graft fast path" `Quick test_graft_fast_path;
+          Alcotest.test_case "fm ephemeral is one 14-word block" `Quick
+            test_fm_ephemeral_is_one_block;
           Alcotest.test_case "state integrity" `Quick
             test_lcs_matches_committed_history;
         ] );

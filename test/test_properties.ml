@@ -345,14 +345,14 @@ let prop_packed_meta_matches_reference =
         && Node.has_writes n
            = ref_has_writes ~left:Node.empty ~right:Node.empty r
       in
-      (* the mask tests meld uses decide exactly like the option compares *)
+      (* the word tests meld uses decide exactly like the option compares,
+         against a state node holding [state_vn]/[state_cv] *)
+      let left = node_of_ref ~vn:state_vn ~cv:state_cv rl in
       let decisions =
-        Node.ssv_equals n state_vn = ref_graftable r ~state_vn
-        && Node.scv_equals n state_cv
-           = not (ref_scv_conflict r ~state_cv)
+        Node.ssv_is_vn n left = ref_graftable r ~state_vn
+        && Node.scv_is_cv n left = not (ref_scv_conflict r ~state_cv)
       in
       (* has_writes summary over same/other-owner children *)
-      let left = node_of_ref ~vn:state_vn ~cv:state_cv rl in
       let right = node_of_ref ~vn:state_vn ~cv:state_cv rr in
       let parent = node_of_ref ~left ~right ~vn ~cv r in
       let summary =
@@ -362,12 +362,65 @@ let prop_packed_meta_matches_reference =
          meta words) changes nothing *)
       let repacked =
         Node.pack ~key:parent.Node.key ~payload:parent.Node.payload ~left
-          ~right ~vn ~cv ~meta:parent.Node.meta ~ssv_a:parent.Node.ssv_a
-          ~ssv_b:parent.Node.ssv_b ~scv_a:parent.Node.scv_a
-          ~scv_b:parent.Node.scv_b
+          ~right ~vn_a:parent.Node.vn_a ~vn_b:parent.Node.vn_b
+          ~cv_a:parent.Node.cv_a ~cv_b:parent.Node.cv_b ~meta:parent.Node.meta
+          ~ssv_a:parent.Node.ssv_a ~ssv_b:parent.Node.ssv_b
+          ~scv_a:parent.Node.scv_a ~scv_b:parent.Node.scv_b
       in
       let stable = repacked.Node.meta = parent.Node.meta in
       roundtrip && decisions && summary && stable)
+
+(* Versions across the whole word range the packed fields must carry:
+   genesis (pos -1), small and large logged positions, ephemeral ids. *)
+let wide_vn_gen =
+  QCheck2.Gen.(
+    let word = oneof [ int_bound 100; int_range 0 max_int; oneofl [ 0; max_int ] ] in
+    oneof
+      [
+        map (fun idx -> Vn.genesis ~idx) word;
+        map2 (fun pos idx -> Vn.logged ~pos ~idx)
+          (oneof [ int_range (-1) 100; int_range 0 max_int ]) word;
+        map2 (fun thread seq -> Vn.ephemeral ~thread ~seq) (int_bound 8) word;
+        (* the same words in both classes: only the class bit differs *)
+        map (fun w -> Vn.ephemeral ~thread:1 ~seq:w) word;
+        map (fun w -> Vn.logged ~pos:1 ~idx:w) word;
+      ])
+
+let prop_packed_versions_roundtrip =
+  QCheck2.Test.make ~name:"packed vn/cv/ssv/scv == boxed Vn.t" ~count:3000
+    QCheck2.Gen.(
+      pair
+        (quad wide_vn_gen wide_vn_gen (option wide_vn_gen) (option wide_vn_gen))
+        (pair (pair wide_vn_gen wide_vn_gen) (oneofl [ -1; 0; 5; I.draft_owner ])))
+    (fun ((vn, cv, ssv, scv), ((mvn, mcv), owner)) ->
+      let node ~vn ~cv ~ssv ~scv =
+        Node.make ~key:3 ~payload:Payload.tombstone ~left:Node.empty
+          ~right:Node.empty ~vn ~cv ~ssv ~scv ~altered:false
+          ~depends_on_content:false ~depends_on_structure:false ~owner
+      in
+      let n = node ~vn ~cv ~ssv ~scv in
+      let m = node ~vn:mvn ~cv:mcv ~ssv:None ~scv:None in
+      let opt_eq = Option.equal Vn.equal in
+      let is x = function Some y -> Vn.equal x y | None -> false in
+      (* accessors rebuild exactly the boxed versions *)
+      Vn.equal (Node.vn n) vn
+      && Vn.equal (Node.cv n) cv
+      && opt_eq (Node.ssv n) ssv
+      && opt_eq (Node.scv n) scv
+      && Node.owner n = owner
+      (* the word comparators agree with Vn.equal *)
+      && Node.vn_equals n mvn = Vn.equal vn mvn
+      && Node.vn_equals n vn
+      && Node.ssv_is_vn n m = is mvn ssv
+      && Node.scv_is_cv n m = is mcv scv
+      && Node.ssv_is_vn n n = is vn ssv
+      && Node.scv_is_cv n n = is cv scv
+      (* physical equality and the digest see the versions *)
+      && Tree.physically_equal n (node ~vn ~cv ~ssv ~scv)
+      && Tree.physically_equal n (node ~vn:mvn ~cv ~ssv ~scv)
+         = Vn.equal vn mvn
+      && String.equal (Tree.digest n) (Tree.digest (node ~vn ~cv:mcv ~ssv ~scv))
+         = Vn.equal cv mcv)
 
 let () =
   Alcotest.run "properties"
@@ -391,5 +444,5 @@ let () =
           [ prop_mutators_preserve_invariants ] );
       ( "packed metadata",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_packed_meta_matches_reference ] );
+          [ prop_packed_meta_matches_reference; prop_packed_versions_roundtrip ] );
     ]

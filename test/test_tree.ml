@@ -69,8 +69,8 @@ let test_upsert_update () =
   check "altered" true (Node.altered n);
   check "owner" true (Node.owner n = owner);
   let src = Option.get (Tree.find t0 42) in
-  check "ssv points at source" true (Node.ssv_equals n src.Node.vn);
-  check "scv is source content" true (Node.scv_equals n src.Node.cv)
+  check "ssv points at source" true (Node.ssv_is_vn n src);
+  check "scv is source content" true (Node.scv_is_cv n src)
 
 let test_upsert_insert () =
   let t0 = Helpers.genesis ~gap:10 100 in
@@ -314,6 +314,44 @@ let prop_of_sorted_matches_oracle =
       let want = of_sorted_oracle items in
       Tree.physically_equal got want && same_payload_objects got want)
 
+(* [Key.priority_greater] against its definition: unsigned order of the
+   boxed [Int64] priorities, ties (equal keys) broken by key order. *)
+let priority_greater_ref a b =
+  let c = Int64.unsigned_compare (Key.priority a) (Key.priority b) in
+  if c <> 0 then c > 0 else a < b
+
+let prop_priority_greater_matches_int64 =
+  QCheck2.Test.make ~name:"priority_greater = Int64 reference" ~count:2000
+    QCheck2.Gen.(
+      let key =
+        oneof [ int; int_range (-50) 50; oneofl [ 0; -1; min_int; max_int ] ]
+      in
+      oneof [ pair key key; map (fun k -> (k, k)) key ])
+    (fun (a, b) ->
+      Key.priority_greater a b = priority_greater_ref a b
+      && Key.priority_greater b a = priority_greater_ref b a)
+
+(* The treap's hot comparison (every level of [Tree.upsert], meld's
+   outrank branches) must not allocate. *)
+let test_priority_greater_allocation_free () =
+  let keys = Array.init 64 (fun i -> (i * 7919) - 200) in
+  let hits = ref 0 in
+  let run () =
+    for i = 0 to 63 do
+      for j = 0 to 63 do
+        if Key.priority_greater keys.(i) keys.(j) then incr hits
+      done
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  run ();
+  let w2 = Gc.minor_words () in
+  check_int "minor words over 4096 calls" 0
+    (int_of_float (w2 -. w1 -. (w1 -. w0)));
+  check "some comparisons hold" true (!hits > 0)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -321,6 +359,7 @@ let qcheck_cases =
       prop_shape_canonical;
       prop_range_matches_model;
       prop_of_sorted_matches_oracle;
+      prop_priority_greater_matches_int64;
     ]
 
 let () =
@@ -349,6 +388,8 @@ let () =
           Alcotest.test_case "pred/succ" `Quick test_pred_succ;
           Alcotest.test_case "range items" `Quick test_range_items;
           Alcotest.test_case "path length" `Quick test_path_length;
+          Alcotest.test_case "priority_greater allocates nothing" `Quick
+            test_priority_greater_allocation_free;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -221,6 +221,32 @@ let prop_wire_varint_roundtrip =
       let r = Wire.Reader.of_string (Wire.Writer.contents w) in
       Wire.Reader.varint64 r = v)
 
+(* Arbitrary byte strings (continuation bits set at random, up to the
+   eleven bytes that overrun a 64-bit varint): [Reader.varint] consumes
+   the same bytes as [varint64] and returns its [Int64.to_int], or
+   raises [Truncated] exactly when it does. *)
+let varint_bytes_gen =
+  QCheck2.Gen.(
+    map
+      (fun (bytes, last) ->
+        String.of_seq
+          (List.to_seq
+             (List.map (fun b -> Char.chr (b lor 0x80)) bytes
+             @ match last with Some b -> [ Char.chr b ] | None -> [])))
+      (pair (list_size (int_range 0 11) (int_bound 0x7f)) (opt (int_bound 0xff))))
+
+let prop_reader_varint_matches_varint64 =
+  QCheck2.Test.make ~name:"Reader.varint = to_int varint64" ~count:2000
+    varint_bytes_gen (fun s ->
+      let read f =
+        let r = Wire.Reader.of_string s in
+        match f r with
+        | v -> Some (v, Wire.Reader.pos r)
+        | exception Wire.Truncated -> None
+      in
+      read Wire.Reader.varint
+      = read (fun r -> Int64.to_int (Wire.Reader.varint64 r)))
+
 (* --- crc32 -------------------------------------------------------------- *)
 
 let test_crc32_known_value () =
@@ -669,6 +695,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_wire_varint_roundtrip;
+      prop_reader_varint_matches_varint64;
       prop_put_varint_matches_writer;
       prop_crc32_matches_bitwise;
       prop_spsc_batch_interleaving;

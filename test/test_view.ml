@@ -15,6 +15,18 @@ module Counters = Hyder_core.Counters
 module Rng = Hyder_util.Rng
 
 let check = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+
+(* Reference children reachable from a materialized tree: the bound
+   snapshot subtrees hanging off inside nodes. *)
+let count_refs root v =
+  let pos = View.pos v in
+  let rec go (t : Node.tree) =
+    if Node.is_empty t then 0
+    else if Node.owner t <> pos then Tree.size t
+    else go t.Node.left + go t.Node.right
+  in
+  go root
 
 (* ---- random transactions over a fixed snapshot ----------------------- *)
 
@@ -58,6 +70,14 @@ let vn_opt_equal a b =
   | Some x, Some y -> Vn.equal x y
   | _ -> false
 
+(* A state-owned leaf whose vn and cv are both [x]: the comparison
+   target for a known source version. *)
+let with_version x =
+  Node.make ~key:0 ~payload:Payload.tombstone ~left:Node.empty
+    ~right:Node.empty ~vn:x ~cv:x ~ssv:None ~scv:None ~altered:false
+    ~depends_on_content:false ~depends_on_structure:false
+    ~owner:Node.state_owner
+
 (* Every accessor agrees with the corresponding field of the eagerly
    decoded node, and materialization reproduces the eager tree.  Returns
    the first disagreement, if any. *)
@@ -93,8 +113,7 @@ let eager_mismatch ~peer ~resolve bytes =
       (fun idx (n : Node.node) ->
         ok idx "key" (View.key v idx = n.Node.key);
         ok idx "meta" (View.meta v idx = n.Node.meta);
-        ok idx "vn" (Vn.equal (View.vn v idx) n.Node.vn);
-        ok idx "cv" (Vn.equal (View.cv v idx) n.Node.cv);
+        ok idx "vn" (Vn.equal (View.vn v idx) (Node.vn n));
         let sa, sb, ca, cb = View.sources v idx in
         ok idx "sources"
           (sa = n.Node.ssv_a && sb = n.Node.ssv_b && ca = n.Node.scv_a
@@ -102,15 +121,15 @@ let eager_mismatch ~peer ~resolve bytes =
         ok idx "payload" (Payload.equal (View.payload v idx) n.Node.payload);
         ok idx "ssv" (vn_opt_equal (View.ssv v idx) (Node.ssv n));
         (* the in-place source comparators mirror the packed ones *)
-        ok idx "ssv_equals vn"
-          (View.ssv_equals v idx n.Node.vn = Node.ssv_equals n n.Node.vn);
+        ok idx "ssv_is_vn self"
+          (View.ssv_is_vn v idx n = Node.ssv_is_vn n n);
         (match Node.ssv n with
-        | Some s -> ok idx "ssv_equals hit" (View.ssv_equals v idx s)
+        | Some s -> ok idx "ssv_is_vn hit" (View.ssv_is_vn v idx (with_version s))
         | None -> ());
-        ok idx "scv_equals cv"
-          (View.scv_equals v idx n.Node.cv = Node.scv_equals n n.Node.cv);
+        ok idx "scv_is_cv self"
+          (View.scv_is_cv v idx n = Node.scv_is_cv n n);
         (match Node.scv n with
-        | Some s -> ok idx "scv_equals hit" (View.scv_equals v idx s)
+        | Some s -> ok idx "scv_is_cv hit" (View.scv_is_cv v idx (with_version s))
         | None -> ());
         kid_agrees idx "left child" (View.kid_l v idx) n.Node.left;
         kid_agrees idx "right child" (View.kid_r v idx) n.Node.right)
@@ -271,7 +290,6 @@ let same_view a b =
          && kid (View.kid_l a idx) (View.kid_l b idx)
          && kid (View.kid_r a idx) (View.kid_r b idx)
          && View.sources a idx = View.sources b idx
-         && Vn.equal (View.cv a idx) (View.cv b idx)
          && Payload.equal (View.payload a idx) (View.payload b idx))
        (List.init n Fun.id)
   && Tree.physically_equal (View.materialize_root a) (View.materialize_root b)
@@ -345,6 +363,75 @@ let test_steady_state_allocation () =
     Alcotest.(check int) "minor words = view arrays + record" expected
       (words - overhead)
   done
+
+(* Materializing a view allocates the memo array, one 14-word block per
+   node and each inline payload (its [Value] box and string) — nothing
+   else: no [Vn.t] for a node's vn or cv, no source-word tuple. *)
+let test_materialize_allocation () =
+  let e =
+    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot ~server:3 ~txn_seq:17
+      ~isolation:I.Serializable ()
+  in
+  List.iter (fun k -> ignore (Executor.read e (k * 3))) [ 10; 200; 333 ];
+  List.iter (fun k -> Executor.write e (k * 3) "written") [ 7; 99; 311; 480 ];
+  Executor.delete e (42 * 3);
+  let bytes =
+    match Executor.finish e with
+    | Some d -> Codec.encode d
+    | None -> Alcotest.fail "expected a draft"
+  in
+  let v = View.parse ~pos:11 ~peer:snapshot ~resolve bytes in
+  let n = View.node_count v in
+  check (Printf.sprintf "small intention (%d nodes)" n) true (n > 8 && n < 60);
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let root = View.materialize_root v in
+  let w2 = Gc.minor_words () in
+  let words = int_of_float (w2 -. w1 -. (w1 -. w0)) in
+  check_int "every node materialized" n (Tree.size root - count_refs root v);
+  let inline = ref 0 and payload_words = ref 0 in
+  for idx = 0 to n - 1 do
+    let m = View.meta v idx in
+    let p = View.payload v idx in
+    if m land Node.Meta.altered <> 0 && not (Payload.is_tombstone p) then begin
+      incr inline;
+      payload_words := !payload_words + Obj.reachable_words (Obj.repr p)
+    end
+  done;
+  check "some payloads shipped inline" true (!inline > 0);
+  check_int "minor words = memo + 14 per node + inline payloads"
+    ((n + 1) + (14 * n) + !payload_words)
+    words
+
+(* Eager decode builds each node as one 14-word block beside its payload:
+   over fresh inserts (no references, no elisions), one more node costs
+   exactly 14 words plus its payload's 4 (a [Value] box and a one-word
+   string). *)
+let test_eager_decode_allocation () =
+  let scratch = Codec.Scratch.create () in
+  let wire nkeys =
+    let e =
+      Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:Node.empty ~server:0
+        ~txn_seq:nkeys ~isolation:I.Serializable ()
+    in
+    for k = 0 to nkeys - 1 do
+      Executor.write e k "vvvv"
+    done;
+    match Executor.finish e with
+    | Some d -> Codec.encode d
+    | None -> Alcotest.fail "expected a draft"
+  in
+  let words s =
+    ignore (Codec.decode_pooled ~scratch ~pos:1 ~resolve s);
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    let i = Codec.decode_pooled ~scratch ~pos:1 ~resolve s in
+    let w2 = Gc.minor_words () in
+    (i.I.node_count, int_of_float (w2 -. w1 -. (w1 -. w0)))
+  in
+  let n1, w1 = words (wire 1) and n40, w40 = words (wire 40) in
+  check_int "node counts" 39 (n40 - n1);
+  check_int "minor words per extra node" (18 * 39) (w40 - w1)
 
 (* ---- pipeline bit-identity: lazy vs eager across backends ------------ *)
 
@@ -450,6 +537,10 @@ let () =
             test_scratch_growth;
           Alcotest.test_case "two domains = sequential" `Quick
             test_concurrent_domains;
+          Alcotest.test_case "materialize allocates only node blocks" `Quick
+            test_materialize_allocation;
+          Alcotest.test_case "eager decode: one block per node" `Quick
+            test_eager_decode_allocation;
           Alcotest.test_case "steady state allocates only the view" `Quick
             test_steady_state_allocation;
         ] );
